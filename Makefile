@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint audit race bench bench-quick bench-full bench-large bench-guard check check-v2 faults obs serve shards clean
+.PHONY: all build test vet lint audit race idle-history bench bench-quick bench-full bench-large bench-guard check check-v2 faults obs serve shards clean
 
 all: build
 
@@ -36,6 +36,12 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# Monitor idle-history gate, run without -short: the differential
+# quickcheck of core.IdleObserver against the linear-scan reference and
+# the 10 s goldens, the only ones long enough to prune the history.
+idle-history:
+	$(GO) test -count=1 -run 'IdleObserverMatchesLinearReference|GoldenLongRun' ./internal/core ./internal/experiment
 
 # One iteration of every benchmark: catches bench-harness rot and gross
 # regressions without the minutes-long auto-scaled run.
@@ -119,7 +125,7 @@ shards:
 # The pre-merge gate (see README "Pre-merge gate"), cheapest stages
 # first so failures surface in seconds: vet and the determinism
 # analyzers, then build, then the minutes-long race/bench stages.
-check: vet lint build race check-v2 faults obs serve shards bench bench-guard
+check: vet lint build race idle-history check-v2 faults obs serve shards bench bench-guard
 
 clean:
 	$(GO) clean ./...

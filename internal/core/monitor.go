@@ -352,12 +352,8 @@ func (m *Monitor) check(r *senderRecord, rts frame.Frame, start, end sim.Time) {
 		// Retry of an already-recorded packet: replace its entry.
 		r.window[len(r.window)-1] = diff
 	} else {
-		r.window = append(r.window, diff)
-		r.windowSeqs = append(r.windowSeqs, rts.Seq)
-		if len(r.window) > m.params.Window {
-			r.window = r.window[1:]
-			r.windowSeqs = r.windowSeqs[1:]
-		}
+		r.window = pushBounded(r.window, diff, m.params.Window)
+		r.windowSeqs = pushBounded(r.windowSeqs, rts.Seq, m.params.Window)
 		r.packetCount++
 		m.obs.packets.Inc()
 	}
@@ -414,6 +410,23 @@ func (m *Monitor) check(r *senderRecord, rts frame.Frame, start, end sim.Time) {
 	if m.events.OnClassified != nil {
 		m.events.OnClassified(rts.Src, r.diagnosed, diff, end)
 	}
+}
+
+// pushBounded appends v to the rolling window xs, dropping the oldest
+// entry once xs holds bound entries. The backing array is allocated
+// once, at capacity bound, and shifted down in place, so entries stay
+// ordered oldest → newest (window sums keep their float bits) and a
+// full window never reallocates.
+func pushBounded[T any](xs []T, v T, bound int) []T {
+	if len(xs) < bound {
+		if xs == nil {
+			xs = make([]T, 0, bound)
+		}
+		return append(xs, v)
+	}
+	copy(xs, xs[1:])
+	xs[len(xs)-1] = v
+	return xs
 }
 
 // assign decides the base backoff for the sender's next packet and adds

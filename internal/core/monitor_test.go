@@ -497,3 +497,20 @@ func TestMonitorDistinctSendersIndependent(t *testing.T) {
 		t.Fatalf("honest sender accumulated %d deviations", dev1)
 	}
 }
+
+func TestPushBoundedKeepsOldestToNewestInPlace(t *testing.T) {
+	var xs []int
+	for v := 1; v <= 3; v++ {
+		xs = pushBounded(xs, v, 3)
+	}
+	backing := &xs[0]
+	for v := 4; v <= 7; v++ {
+		xs = pushBounded(xs, v, 3)
+	}
+	if len(xs) != 3 || xs[0] != 5 || xs[1] != 6 || xs[2] != 7 {
+		t.Fatalf("window = %v, want [5 6 7]", xs)
+	}
+	if &xs[0] != backing {
+		t.Fatal("a full window reallocated its backing array")
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"dcfguard/internal/sim"
 )
@@ -13,13 +14,24 @@ import (
 // The counting rule mirrors the sender's countdown: within each maximal
 // idle interval, the first DIFS is consumed before slots start counting,
 // and only whole slots count.
+//
+// Recording a transition and answering IdleSlots both cost time
+// independent of how much history the horizon retains: pruning advances
+// a head offset instead of shifting the slice, and IdleSlots
+// binary-searches for the window start (DESIGN.md §6, "Idle history").
 type IdleObserver struct {
 	slot    sim.Time
 	difs    sim.Time
 	horizon sim.Time
 
-	busy        bool
-	transitions []transition // ordered by time
+	busy bool
+	// transitions[head:] is the retained history, ordered by time. The
+	// pruned prefix transitions[:head] is reclaimed by copying the live
+	// part down once the prefix is at least as long, so each transition
+	// is copied O(1) times on average and the backing array stops
+	// growing once it holds about two horizons of history.
+	transitions []transition
+	head        int
 }
 
 type transition struct {
@@ -56,12 +68,13 @@ func (o *IdleObserver) record(now sim.Time, busy bool) {
 // reconstructible.
 func (o *IdleObserver) prune(now sim.Time) {
 	cutoff := now - o.horizon
-	i := 0
-	for i < len(o.transitions)-1 && o.transitions[i+1].at <= cutoff {
-		i++
+	ts := o.transitions
+	for o.head < len(ts)-1 && ts[o.head+1].at <= cutoff {
+		o.head++
 	}
-	if i > 0 {
-		o.transitions = append(o.transitions[:0], o.transitions[i:]...)
+	if o.head > 0 && o.head >= len(ts)-o.head {
+		o.transitions = ts[:copy(ts, ts[o.head:])]
+		o.head = 0
 	}
 }
 
@@ -77,28 +90,30 @@ func (o *IdleObserver) Busy() bool { return o.busy }
 // against the window only for the portion inside it: the sender's DIFS
 // wait after its ACK falls exactly at the window start, which is why the
 // window boundary is treated as the start of a fresh idle interval.
+//
+// A window that starts before the oldest retained transition treats the
+// channel as idle from `from` up to that transition, whatever the state
+// really was (see Params.HistoryHorizon).
 func (o *IdleObserver) IdleSlots(from, to sim.Time) int {
 	if to < from {
 		panic(fmt.Sprintf("core: IdleSlots window [%v, %v) inverted", from, to))
 	}
-	slots := 0
-	// Walk transitions, tracking the state before the window.
+	live := o.transitions[o.head:]
+	// idx is the first transition after from; the one before it, if
+	// any, gives the state at the window start.
+	idx := sort.Search(len(live), func(i int) bool { return live[i].at > from })
 	busy := false
-	cur := sim.Time(0)
-	idx := 0
-	for idx < len(o.transitions) && o.transitions[idx].at <= from {
-		busy = o.transitions[idx].busy
-		cur = o.transitions[idx].at
-		idx++
+	if idx > 0 {
+		busy = live[idx-1].busy
 	}
-	_ = cur
+	slots := 0
 	segStart := from
 	for segStart < to {
 		var segEnd sim.Time
 		var nextBusy bool
-		if idx < len(o.transitions) && o.transitions[idx].at < to {
-			segEnd = o.transitions[idx].at
-			nextBusy = o.transitions[idx].busy
+		if idx < len(live) && live[idx].at < to {
+			segEnd = live[idx].at
+			nextBusy = live[idx].busy
 			idx++
 		} else {
 			segEnd = to

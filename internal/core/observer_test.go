@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
 )
 
@@ -193,5 +195,190 @@ func TestQuickIdleSlotsMonotoneInWindow(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIdleSlotsWindowBeforeRetainedHistory pins what a window reaching
+// back past the retention horizon sees: the channel counts as idle from
+// the window start up to the oldest retained transition, whatever its
+// real state was (the behaviour Params.HistoryHorizon documents).
+func TestIdleSlotsWindowBeforeRetainedHistory(t *testing.T) {
+	feed := func(o *IdleObserver) {
+		o.OnBusy(1 * sim.Millisecond)
+		o.OnIdle(2 * sim.Millisecond)
+		o.OnBusy(20 * sim.Millisecond)
+		o.OnIdle(21 * sim.Millisecond)
+		o.OnBusy(40 * sim.Millisecond) // cutoff 30 ms: history before 21 ms is gone
+	}
+	pruned := NewIdleObserver(tSlot, tDIFS, 10*sim.Millisecond)
+	full := newObs()
+	feed(pruned)
+	feed(full)
+	if got := pruned.transitions[pruned.head:]; len(got) != 2 || got[0].at != 21*sim.Millisecond {
+		t.Fatalf("retained %v, want the 21 ms and 40 ms transitions", got)
+	}
+	// Full history: idle [0,1) 47 slots + busy + idle [2,20) 897 slots + busy.
+	// Pruned: [0,21) counted as one idle interval, (21 ms − DIFS)/slot.
+	from, to := sim.Time(0), 21*sim.Millisecond
+	if got := full.IdleSlots(from, to); got != 944 {
+		t.Fatalf("full-history IdleSlots = %d, want 944", got)
+	}
+	if got := pruned.IdleSlots(from, to); got != 1047 {
+		t.Fatalf("pruned IdleSlots = %d, want 1047 (pre-history counted as idle)", got)
+	}
+	// The retained idle transition at 21 ms still opens a fresh interval
+	// that pays its own DIFS.
+	if got := pruned.IdleSlots(from, to+tDIFS+5*tSlot); got != 1047+5 {
+		t.Fatalf("pruned IdleSlots across the oldest transition = %d, want %d", got, 1047+5)
+	}
+}
+
+// linearIdleObserver is the IdleObserver as it was before pruning
+// advanced a head offset and IdleSlots binary-searched: prune shifts
+// the whole retained slice down and IdleSlots scans from the oldest
+// retained transition. It is the reference the differential quickcheck
+// compares against.
+type linearIdleObserver struct {
+	slot, difs, horizon sim.Time
+
+	busy        bool
+	transitions []transition
+}
+
+func (o *linearIdleObserver) record(now sim.Time, busy bool) {
+	if busy == o.busy {
+		return
+	}
+	o.busy = busy
+	o.transitions = append(o.transitions, transition{at: now, busy: busy})
+	cutoff := now - o.horizon
+	i := 0
+	for i < len(o.transitions)-1 && o.transitions[i+1].at <= cutoff {
+		i++
+	}
+	if i > 0 {
+		o.transitions = append(o.transitions[:0], o.transitions[i:]...)
+	}
+}
+
+func (o *linearIdleObserver) IdleSlots(from, to sim.Time) int {
+	slots := 0
+	busy := false
+	idx := 0
+	for idx < len(o.transitions) && o.transitions[idx].at <= from {
+		busy = o.transitions[idx].busy
+		idx++
+	}
+	segStart := from
+	for segStart < to {
+		var segEnd sim.Time
+		var nextBusy bool
+		if idx < len(o.transitions) && o.transitions[idx].at < to {
+			segEnd = o.transitions[idx].at
+			nextBusy = o.transitions[idx].busy
+			idx++
+		} else {
+			segEnd = to
+			nextBusy = busy
+		}
+		if !busy {
+			span := segEnd - segStart - o.difs
+			if span > 0 {
+				slots += int(span / o.slot)
+			}
+		}
+		busy = nextBusy
+		segStart = segEnd
+	}
+	return slots
+}
+
+// TestQuickIdleObserverMatchesLinearReference drives IdleObserver and
+// the linear reference with the same random carrier stream (duplicate
+// and simultaneous transitions included) under 1–50 ms horizons, so
+// pruning and compaction fire thousands of times. After every
+// transition the retained histories must be equal, and IdleSlots must
+// agree on windows that start inside the retained history, exactly on a
+// transition, and before the oldest retained transition.
+func TestQuickIdleObserverMatchesLinearReference(t *testing.T) {
+	compactions := 0
+	f := func(seed uint64, horizonMs uint8) bool {
+		src := rng.New(seed)
+		horizon := sim.Time(horizonMs%50+1) * sim.Millisecond
+		o := NewIdleObserver(tSlot, tDIFS, horizon)
+		ref := &linearIdleObserver{slot: tSlot, difs: tDIFS, horizon: horizon}
+		draw := func(n sim.Time) sim.Time { return sim.Time(src.Intn(int(n) + 1)) }
+		now := sim.Time(0)
+		for i := 0; i < 4000; i++ {
+			now += draw(600) * sim.Microsecond
+			busy := src.Bool(0.5)
+			head := o.head
+			if busy {
+				o.OnBusy(now)
+			} else {
+				o.OnIdle(now)
+			}
+			ref.record(now, busy)
+			if o.head < head {
+				compactions++
+			}
+			if !slices.Equal(o.transitions[o.head:], ref.transitions) {
+				t.Logf("seed %d horizon %v step %d: retained histories differ", seed, horizon, i)
+				return false
+			}
+			if src.Intn(4) != 0 || len(ref.transitions) == 0 {
+				continue
+			}
+			oldest := ref.transitions[0].at
+			onTr := ref.transitions[src.Intn(len(ref.transitions))].at
+			before := oldest - draw(horizon)
+			if before < 0 {
+				before = 0
+			}
+			starts := [...]sim.Time{oldest + draw(now-oldest), onTr, before}
+			for _, from := range starts {
+				ends := [...]sim.Time{from + draw(2*horizon), ref.transitions[len(ref.transitions)-1].at, onTr}
+				for _, to := range ends {
+					if to < from {
+						continue
+					}
+					if got, want := o.IdleSlots(from, to), ref.IdleSlots(from, to); got != want {
+						t.Logf("seed %d horizon %v step %d: IdleSlots(%v, %v) = %d, reference %d",
+							seed, horizon, i, from, to, got, want)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if compactions < 1000 {
+		t.Fatalf("only %d compactions fired; the stream no longer exercises them", compactions)
+	}
+}
+
+// TestIdleObserverSteadyStateAllocatesNothing: once the backing array
+// has grown to hold the horizon's worth of history, recording
+// transitions and answering IdleSlots never allocate.
+func TestIdleObserverSteadyStateAllocatesNothing(t *testing.T) {
+	o := NewIdleObserver(tSlot, tDIFS, 10*sim.Millisecond)
+	now := sim.Time(0)
+	step := func() {
+		for i := 0; i < 64; i++ {
+			now += 300 * sim.Microsecond
+			o.OnBusy(now)
+			now += 200 * sim.Microsecond
+			o.OnIdle(now)
+		}
+		o.IdleSlots(now-5*sim.Millisecond, now)
+	}
+	for i := 0; i < 10; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(100, step); n != 0 {
+		t.Fatalf("steady-state observer allocates %v times per step, want 0", n)
 	}
 }

@@ -82,7 +82,11 @@ type Params struct {
 	WaivePenalties bool
 	// HistoryHorizon bounds how much carrier-sense history the idle-slot
 	// observer retains. It must exceed the longest plausible interval
-	// between an ACK and the next RTS from the same sender.
+	// between an ACK and the next RTS from the same sender: a B_act
+	// window that starts before the oldest retained transition counts
+	// the channel as idle from the window start up to that transition,
+	// whatever its real state was. The monitor's per-packet cost does
+	// not grow with the horizon.
 	HistoryHorizon sim.Time
 }
 

@@ -64,7 +64,7 @@ type pairState struct {
 	// RTS, awaiting the exchange's completing ACK.
 	lastBAct int
 	haveBAct bool
-	// bActs and assigns are rolling windows (length ≤ W) of completed
+	// bActs and assigns are rolling windows (length ≤ 4·W) of completed
 	// exchanges' observed backoffs and advertised assignments.
 	bActs   []int
 	assigns []int
@@ -178,8 +178,8 @@ func (w *Watchdog) onAssignment(f frame.Frame, now sim.Time) {
 		p.mark = now
 		p.hasMark = true
 		if p.haveBAct {
-			p.bActs = appendBounded(p.bActs, p.lastBAct, w.collusionWindow())
-			p.assigns = appendBounded(p.assigns, assigned, w.collusionWindow())
+			p.bActs = pushBounded(p.bActs, p.lastBAct, w.collusionWindow())
+			p.assigns = pushBounded(p.assigns, assigned, w.collusionWindow())
 			p.haveBAct = false
 		}
 		w.judge(f.Dst, f.Src, p, now)
@@ -190,14 +190,6 @@ func (w *Watchdog) onAssignment(f frame.Frame, now sim.Time) {
 // verdict integrates over: 4·W trades detection delay for a negligible
 // false-positive rate against honest random assignments.
 func (w *Watchdog) collusionWindow() int { return 4 * w.params.Window }
-
-func appendBounded(xs []int, v, bound int) []int {
-	xs = append(xs, v)
-	if len(xs) > bound {
-		xs = xs[1:]
-	}
-	return xs
-}
 
 // judge updates the pair's collusion verdict: over the last 4·W
 // completed exchanges, both the observed backoffs and the advertised
