@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint audit race idle-history bench bench-quick bench-full bench-large bench-guard check check-v2 faults obs serve shards clean
+.PHONY: all build test vet lint audit race idle-history bench-module bench bench-quick bench-full bench-large bench-guard check check-v2 faults obs serve shards clean
 
 all: build
 
@@ -42,6 +42,13 @@ race:
 # the 10 s goldens, the only ones long enough to prune the history.
 idle-history:
 	$(GO) test -count=1 -run 'IdleObserverMatchesLinearReference|GoldenLongRun' ./internal/core ./internal/experiment
+
+# The benchmark/ module is a separate Go module that imports
+# internal/sim, internal/experiment and internal/serve, so ./... from the
+# root never reaches it: vet and test it on its own, so an internal API
+# change cannot break the benchmark unnoticed.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every benchmark: catches bench-harness rot and gross
 # regressions without the minutes-long auto-scaled run.
@@ -125,7 +132,7 @@ shards:
 # The pre-merge gate (see README "Pre-merge gate"), cheapest stages
 # first so failures surface in seconds: vet and the determinism
 # analyzers, then build, then the minutes-long race/bench stages.
-check: vet lint build race idle-history check-v2 faults obs serve shards bench bench-guard
+check: vet lint build bench-module race idle-history check-v2 faults obs serve shards bench bench-guard
 
 clean:
 	$(GO) clean ./...

@@ -23,10 +23,13 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
@@ -36,7 +39,7 @@ import (
 
 	"dcfguard"
 	"dcfguard/internal/atomicio"
-	"dcfguard/internal/sim"
+	"dcfguard/internal/experiment"
 )
 
 func main() {
@@ -47,7 +50,10 @@ func main() {
 		}
 		return
 	}
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		fmt.Fprintln(os.Stderr, "macsim:", err)
 		os.Exit(1)
 	}
@@ -108,149 +114,246 @@ func startProfiling(cpuPath, memPath, tracePath string) (stop func() error, err 
 	}, nil
 }
 
-func run() error {
-	var (
-		protocol = flag.String("protocol", "correct", "MAC protocol: 802.11 or correct")
-		pm       = flag.Int("pm", 0, "percentage of misbehavior (0-100)")
-		strategy = flag.String("strategy", "partial", "misbehavior strategy: partial, quarter, nodouble, liar")
-		senders  = flag.Int("senders", 8, "number of senders in the star topology")
-		twoFlow  = flag.Bool("two-flow", false, "enable the TWO-FLOW interferer flows")
-		misNode  = flag.Int("mis-node", 3, "misbehaving sender id in the star (0 disables)")
-		random   = flag.Int("random", 0, "use a random topology with this many nodes instead of the star")
-		mis      = flag.Int("mis", 5, "number of misbehaving nodes in the random topology")
-		duration = flag.Duration("duration", 50*time.Second, "simulated duration")
-		seed     = flag.Uint64("seed", 1, "run seed (single run)")
-		seeds    = flag.Int("seeds", 0, "run this many seeds (1..n) and aggregate instead of one run")
-		series   = flag.Bool("series", false, "print the per-second diagnosis series")
-		perNode  = flag.Bool("per-node", false, "print per-sender throughputs")
-		traceN   = flag.Int("timeline", 0, "print the first N frame transmissions as a timeline")
-		pcapPath = flag.String("pcap", "", "write the traced frames to this pcap file (requires -timeline)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		execTr   = flag.String("trace", "", "write a Go execution trace to this file")
-		csvPath  = flag.String("csv", "", "with -seeds: write raw per-run metrics to this CSV file")
-		channel  = flag.String("channel", "v2", "channel model: v2 (counter RNG + spatial index, default), v1 (paper-exact sequential stream), or v3 (v2 + propagation delay; required for -shards)")
-		shards   = flag.Int("shards", 1, "partition the nodes onto this many parallel schedulers (requires -channel v3; 1 = serial)")
-		scaled   = flag.Bool("scaled", false, "with -random: scale the arena with node count (constant density) instead of the fixed Figure-9 area")
-		queue    = flag.String("queue", "", "scheduler queue: calendar (default) or heap")
-		fer      = flag.Float64("fer", 0, "i.i.d. frame-error rate in [0,1) injected after collision resolution")
-		burst    = flag.String("burst", "", "Gilbert burst losses 'fer,r': mean FER and Bad→Good recovery prob (replaces -fer)")
-		churn    = flag.String("churn", "", "receiver churn 'mean[,down]': mean up-time and downtime durations, e.g. 5s,200ms")
-		seedTO   = flag.Duration("seedtimeout", 0, "wall-time budget per seed; a hung run is cancelled and reported (0 disables)")
-		journal  = flag.String("journal", "", "with -seeds: checkpoint finished (scenario, seed) cells in this directory and resume from it")
-		basic    = flag.Bool("basic", false, "basic access: no RTS/CTS handshake")
-		adaptive = flag.Bool("adaptive", false, "adaptive THRESH selection (CORRECT only)")
-		block    = flag.Bool("block", false, "refuse service to diagnosed senders (CORRECT only)")
-		submit   = flag.String("submit", "", "submit this run to a dcfserved daemon at this base URL instead of running locally")
-		jobName  = flag.String("job", "", "with -submit: job name (default derived from topology and -pm)")
-		tenant   = flag.String("tenant", "", "with -submit: tenant bucket for the daemon's fair scheduler")
-		follow   = flag.Bool("follow", false, "with -submit: stream the job's progress live over SSE instead of polling status")
-	)
-	obsF := registerObsFlags()
-	flag.Parse()
+// cli is one parsed macsim command line: the scenario knobs that
+// scenarioSpec maps onto the wire spec, the run shape, and the flags
+// that only one mode (local or -submit) reads.
+type cli struct {
+	protocol, strategy, channel string
+	pm, senders, misNode        int
+	twoFlow                     bool
+	random, mis                 int
+	scaled                      bool
+	duration                    time.Duration
+	shards, timeline            int
+	series                      bool
+	fer                         float64
+	burst, churn                string
+	basic, adaptive, block      bool
 
-	if *submit != "" {
-		return runSubmit(submitArgs{
-			url: *submit, job: *jobName, tenant: *tenant,
-			protocol: *protocol, strategy: *strategy, channel: *channel,
-			pm: *pm, senders: *senders, misNode: *misNode, twoFlow: *twoFlow,
-			random: *random, mis: *mis, scaled: *scaled,
-			duration: *duration, seed: *seed, seeds: *seeds, shards: *shards,
-			fer: *fer, burst: *burst, churn: *churn,
-			basic: *basic, adaptive: *adaptive, block: *block,
-			csvPath: *csvPath, follow: *follow,
-		})
-	}
-	if *follow {
-		return fmt.Errorf("-follow requires -submit")
+	seed    uint64
+	seeds   int
+	csvPath string
+
+	perNode                  bool
+	pcapPath, journal        string
+	seedTO                   time.Duration
+	cpuProf, memProf, execTr string
+	obs                      obsFlags
+
+	submit, job, tenant string
+	follow              bool
+}
+
+// localOnlyFlags are read only by a local run; -submit refuses them
+// rather than ignoring them. submitOnlyFlags are the converse.
+var (
+	localOnlyFlags = []string{"timeline", "pcap", "series", "per-node", "journal", "seedtimeout",
+		"metrics", "trace-events", "trace-out", "diag-csv", "explain", "explain-json", "progress", "debug-addr",
+		"cpuprofile", "memprofile", "trace"}
+	submitOnlyFlags = []string{"job", "tenant", "follow"}
+)
+
+// parseCLI parses macsim's flags and rejects combinations that one of
+// the two modes would otherwise silently ignore.
+func parseCLI(args []string) (*cli, error) {
+	c := &cli{}
+	fs := flag.NewFlagSet("macsim", flag.ContinueOnError)
+	fs.StringVar(&c.protocol, "protocol", "correct", "MAC protocol: 802.11 or correct")
+	fs.IntVar(&c.pm, "pm", 0, "percentage of misbehavior (0-100)")
+	fs.StringVar(&c.strategy, "strategy", "partial", "misbehavior strategy: partial, quarter, nodouble, liar (or the spec names quarter-window, no-doubling, attempt-liar)")
+	fs.IntVar(&c.senders, "senders", 8, "number of senders in the star topology")
+	fs.BoolVar(&c.twoFlow, "two-flow", false, "enable the TWO-FLOW interferer flows")
+	fs.IntVar(&c.misNode, "mis-node", 3, "misbehaving sender id in the star (0 disables)")
+	fs.IntVar(&c.random, "random", 0, "use a random topology with this many nodes instead of the star")
+	fs.IntVar(&c.mis, "mis", 5, "number of misbehaving nodes in the random topology")
+	fs.DurationVar(&c.duration, "duration", 50*time.Second, "simulated duration")
+	fs.Uint64Var(&c.seed, "seed", 1, "run seed (single run)")
+	fs.IntVar(&c.seeds, "seeds", 0, "run this many seeds (1..n) and aggregate instead of one run")
+	fs.BoolVar(&c.series, "series", false, "print the per-second diagnosis series")
+	fs.BoolVar(&c.perNode, "per-node", false, "print per-sender throughputs")
+	fs.IntVar(&c.timeline, "timeline", 0, "print the first N frame transmissions as a timeline")
+	fs.StringVar(&c.pcapPath, "pcap", "", "write the traced frames to this pcap file (requires -timeline)")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile to this file at exit")
+	fs.StringVar(&c.execTr, "trace", "", "write a Go execution trace to this file")
+	fs.StringVar(&c.csvPath, "csv", "", "with -seeds: write raw per-run metrics to this CSV file")
+	fs.StringVar(&c.channel, "channel", "v2", "channel model: v2 (counter RNG + spatial index, default), v1 (paper-exact sequential stream), or v3 (v2 + propagation delay; required for -shards)")
+	fs.IntVar(&c.shards, "shards", 1, "partition the nodes onto this many parallel schedulers (requires -channel v3; 1 = serial)")
+	fs.BoolVar(&c.scaled, "scaled", false, "with -random: scale the arena with node count (constant density) instead of the fixed Figure-9 area")
+	fs.Float64Var(&c.fer, "fer", 0, "i.i.d. frame-error rate in [0,1) injected after collision resolution")
+	fs.StringVar(&c.burst, "burst", "", "Gilbert burst losses 'fer,r': mean FER and Bad→Good recovery prob (replaces -fer)")
+	fs.StringVar(&c.churn, "churn", "", "receiver churn 'mean[,down]': mean up-time and downtime durations, e.g. 5s,200ms")
+	fs.DurationVar(&c.seedTO, "seedtimeout", 0, "wall-time budget per seed; a hung run is cancelled and reported (0 disables)")
+	fs.StringVar(&c.journal, "journal", "", "with -seeds: checkpoint finished (scenario, seed) cells in this directory and resume from it")
+	fs.BoolVar(&c.basic, "basic", false, "basic access: no RTS/CTS handshake")
+	fs.BoolVar(&c.adaptive, "adaptive", false, "adaptive THRESH selection (CORRECT only)")
+	fs.BoolVar(&c.block, "block", false, "refuse service to diagnosed senders (CORRECT only)")
+	fs.StringVar(&c.submit, "submit", "", "submit this run to a dcfserved daemon at this base URL instead of running locally")
+	fs.StringVar(&c.job, "job", "", "with -submit: job name (default derived from the scenario name and -pm)")
+	fs.StringVar(&c.tenant, "tenant", "", "with -submit: tenant bucket for the daemon's fair scheduler")
+	fs.BoolVar(&c.follow, "follow", false, "with -submit: stream the job's progress live over SSE instead of polling status")
+	c.obs.register(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
-	s := dcfguard.DefaultScenario()
-	s.Duration = dcfguard.Time(*duration)
-	s.PM = *pm
+	wrongMode := localOnlyFlags
+	if c.submit == "" {
+		wrongMode = submitOnlyFlags
+	}
+	var bad []string
+	fs.Visit(func(f *flag.Flag) {
+		for _, name := range wrongMode {
+			if f.Name == name {
+				bad = append(bad, "-"+name)
+			}
+		}
+	})
+	switch {
+	case len(bad) > 0 && c.submit != "":
+		return nil, fmt.Errorf("-submit runs on the daemon, which does not read %s", strings.Join(bad, ", "))
+	case len(bad) > 0:
+		return nil, fmt.Errorf("%s require -submit", strings.Join(bad, ", "))
+	case c.pcapPath != "" && c.timeline == 0:
+		return nil, fmt.Errorf("-pcap requires -timeline N")
+	case c.journal != "" && c.seeds == 0:
+		return nil, fmt.Errorf("-journal requires -seeds")
+	}
+	return c, nil
+}
 
-	switch *protocol {
-	case "802.11", "80211":
-		s.Protocol = dcfguard.Protocol80211
-	case "correct", "CORRECT":
-		s.Protocol = dcfguard.ProtocolCorrect
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
+// strategyAliases are macsim's short spellings of the spec's strategy
+// names; the spec names themselves are accepted as-is.
+var strategyAliases = map[string]string{
+	"quarter":  "quarter-window",
+	"nodouble": "no-doubling",
+	"liar":     "attempt-liar",
+}
+
+// scenarioSpec maps the flags onto the scenario's wire form. It is the
+// only such mapping: a local run materialises the spec with ToScenario,
+// -submit ships it to the daemon, and -journal pins it in spec.json, so
+// all three agree on every knob and on the scenario name that labels
+// results. Enums are canonicalised so equal runs yield equal specs.
+func (c *cli) scenarioSpec() (experiment.ScenarioSpec, error) {
+	proto, err := experiment.ParseProtocol(c.protocol)
+	if err != nil {
+		return experiment.ScenarioSpec{}, err
 	}
-	switch *strategy {
-	case "partial":
-		s.Strategy = dcfguard.StrategyPartial
-	case "quarter":
-		s.Strategy = dcfguard.StrategyQuarterWindow
-	case "nodouble":
-		s.Strategy = dcfguard.StrategyNoDoubling
-	case "liar":
-		s.Strategy = dcfguard.StrategyAttemptLiar
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
+	strategy := c.strategy
+	if wire, ok := strategyAliases[strategy]; ok {
+		strategy = wire
 	}
-	switch *channel {
-	case "v1":
-		s.Channel = dcfguard.ChannelV1
-	case "v2":
-		s.Channel = dcfguard.ChannelV2
-	case "v3":
-		s.Channel = dcfguard.ChannelV3
-	default:
-		return fmt.Errorf("unknown channel model %q (want v1, v2, or v3)", *channel)
+	strat, err := experiment.ParseStrategy(strategy)
+	if err != nil {
+		return experiment.ScenarioSpec{}, err
 	}
-	if *shards > 1 && s.Channel != dcfguard.ChannelV3 {
-		return fmt.Errorf("-shards %d requires -channel v3 (the only model with the propagation delay sharding needs)", *shards)
+	sp := experiment.ScenarioSpec{
+		Protocol:    proto.String(),
+		Strategy:    strat.String(),
+		Channel:     c.channel,
+		PM:          c.pm,
+		Duration:    c.duration.String(),
+		TraceEvents: c.timeline,
 	}
-	s.Shards = *shards
-	if *queue != "" {
-		k, err := sim.ParseQueueKind(*queue)
-		if err != nil {
+	if c.shards != 1 {
+		sp.Shards = c.shards
+	}
+	if c.series {
+		sp.BinSize = time.Second.String()
+	}
+	if c.random > 0 {
+		kind := "random"
+		if c.scaled {
+			kind = "scaled-random"
+		}
+		sp.Topo = experiment.TopoSpec{Kind: kind, Nodes: c.random, Mis: c.mis}
+		sp.Name = fmt.Sprintf("random-%d", c.random)
+	} else {
+		// The names experiment.Fig4 gives the same two stars.
+		sp.Topo = experiment.TopoSpec{Kind: "star", Senders: c.senders, TwoFlow: c.twoFlow}
+		if c.misNode > 0 {
+			sp.Topo.Misbehaving = []int{c.misNode}
+		}
+		sp.Name = "zero-flow"
+		if c.twoFlow {
+			sp.Name = "two-flow"
+		}
+	}
+	if c.basic {
+		m := experiment.DefaultScenario().MAC
+		m.BasicAccess = true
+		sp.MAC = &m
+	}
+	if c.adaptive || c.block {
+		p := experiment.DefaultScenario().Core
+		p.AdaptiveThresh = c.adaptive
+		p.BlockDiagnosed = c.block
+		sp.Core = &p
+	}
+	f := experiment.FaultsSpec{FER: c.fer}
+	if c.burst != "" {
+		var meanFER, r float64
+		if _, err := fmt.Sscanf(c.burst, "%g,%g", &meanFER, &r); err != nil {
+			return experiment.ScenarioSpec{}, fmt.Errorf("-burst %q: want 'fer,r' (e.g. 0.1,0.25): %v", c.burst, err)
+		}
+		if !(meanFER >= 0 && meanFER < 1) || !(r > 0 && r <= 1) {
+			return experiment.ScenarioSpec{}, fmt.Errorf("-burst %q: need fer in [0,1) and r in (0,1]", c.burst)
+		}
+		ge := dcfguard.GEForMeanFER(meanFER, r)
+		f.Burst = &experiment.GESpec{
+			PGoodBad: ge.PGoodBad, PBadGood: ge.PBadGood,
+			GoodFER: ge.GoodFER, BadFER: ge.BadFER,
+		}
+		f.FER = 0
+	}
+	if c.churn != "" {
+		parts := strings.SplitN(c.churn, ",", 2)
+		f.ChurnInterval = parts[0]
+		if len(parts) == 2 {
+			f.ChurnDowntime = parts[1]
+		}
+	}
+	if f.FER < 0 || f.FER > 0 || f.Burst != nil || f.ChurnInterval != "" {
+		sp.Faults = &f
+	}
+	return sp, nil
+}
+
+func run(args []string) error {
+	c, err := parseCLI(args)
+	if err != nil {
+		return err
+	}
+	sp, err := c.scenarioSpec()
+	if err != nil {
+		return err
+	}
+	if c.submit != "" {
+		return runSubmit(c, sp)
+	}
+	s, err := sp.ToScenario()
+	if err != nil {
+		return err
+	}
+	if c.journal != "" {
+		if err := claimJournal(c.journal, sp); err != nil {
 			return err
 		}
-		sim.SetDefaultQueue(k)
 	}
-	if *random > 0 {
-		if *scaled {
-			s.Topo = dcfguard.ScaledRandomTopo(*random, *mis)
-		} else {
-			s.Topo = dcfguard.RandomTopo(*random, *mis)
-		}
-		s.Name = fmt.Sprintf("random-%d", *random)
-	} else if *misNode > 0 {
-		s.Topo = dcfguard.StarTopo(*senders, *twoFlow, *misNode)
-	} else {
-		s.Topo = dcfguard.StarTopo(*senders, *twoFlow)
-	}
-	if *series {
-		s.BinSize = dcfguard.Second
-	}
-	s.MAC.BasicAccess = *basic
-	s.Core.AdaptiveThresh = *adaptive
-	s.Core.BlockDiagnosed = *block
-	if *pcapPath != "" && *traceN == 0 {
-		return fmt.Errorf("-pcap requires -timeline N")
-	}
-	s.TraceEvents = *traceN
-	if err := parseFaults(&s, *fer, *burst, *churn); err != nil {
-		return err
-	}
-	if *journal != "" && *seeds == 0 {
-		return fmt.Errorf("-journal requires -seeds")
-	}
-	o, err := setupObs(&s, obsF, *seeds > 0)
+	o, err := setupObs(&s, &c.obs, c.seeds > 0)
 	if err != nil {
 		return err
 	}
 
-	stopProf, err := startProfiling(*cpuProf, *memProf, *execTr)
+	stopProf, err := startProfiling(c.cpuProf, c.memProf, c.execTr)
 	if err != nil {
 		return err
 	}
-	if *seeds > 0 {
-		err = runAggregate(s, *seeds, *series, *csvPath, *journal, *seedTO, o)
+	if c.seeds > 0 {
+		err = runAggregate(s, c, o)
 	} else {
-		err = runSingle(s, *seed, *series, *perNode, *pcapPath, *seedTO)
+		err = runSingle(s, c)
 	}
 	// The obs sinks flush even after a failed run: the trace tail and
 	// partial metrics are exactly what a failure investigation needs.
@@ -263,35 +366,36 @@ func run() error {
 	return err
 }
 
-// parseFaults fills s.Faults from the -fer/-burst/-churn flag values.
-func parseFaults(s *dcfguard.Scenario, fer float64, burst, churn string) error {
-	s.Faults.FER = fer
-	if burst != "" {
-		var meanFER, r float64
-		if _, err := fmt.Sscanf(burst, "%g,%g", &meanFER, &r); err != nil {
-			return fmt.Errorf("-burst %q: want 'fer,r' (e.g. 0.1,0.25): %v", burst, err)
-		}
-		if !(meanFER >= 0 && meanFER < 1) || !(r > 0 && r <= 1) {
-			return fmt.Errorf("-burst %q: need fer in [0,1) and r in (0,1]", burst)
-		}
-		ge := dcfguard.GEForMeanFER(meanFER, r)
-		s.Faults.Burst = &ge
-		s.Faults.FER = 0
+// claimJournal ties a journal directory to one scenario: the first run
+// writes the spec's canonical JSON to <dir>/spec.json, and a later run
+// resumes only if its spec is byte-identical. Cells are keyed by
+// (scenario name, seed) alone, so without this check a rerun with a
+// different -pm would report the old cells as its own. The seed count
+// is not part of the spec: rerunning with more seeds resumes.
+func claimJournal(dir string, sp experiment.ScenarioSpec) error {
+	want, err := json.Marshal(sp)
+	if err != nil {
+		return err
 	}
-	if churn != "" {
-		spec := strings.SplitN(churn, ",", 2)
-		mean, err := time.ParseDuration(spec[0])
-		if err != nil {
-			return fmt.Errorf("-churn %q: %v", churn, err)
+	path := filepath.Join(dir, "spec.json")
+	have, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if !bytes.Equal(have, want) {
+			return fmt.Errorf("-journal: %s records a different scenario; use a fresh directory", path)
 		}
-		s.Faults.ChurnInterval = dcfguard.Time(mean)
-		if len(spec) == 2 {
-			down, err := time.ParseDuration(spec[1])
-			if err != nil {
-				return fmt.Errorf("-churn %q: %v", churn, err)
-			}
-			s.Faults.ChurnDowntime = dcfguard.Time(down)
-		}
+		return nil
+	case !os.IsNotExist(err):
+		return fmt.Errorf("-journal: %w", err)
+	}
+	if cells, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(cells) > 0 {
+		return fmt.Errorf("-journal: %s holds %d cells but no spec.json, so their scenario is unknown; use a fresh directory", dir, len(cells))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("-journal: %w", err)
+	}
+	if err := atomicio.WriteFile(path, want, 0o644); err != nil {
+		return fmt.Errorf("-journal: %w", err)
 	}
 	return nil
 }
@@ -301,9 +405,9 @@ func reportFailure(f *dcfguard.SeedFailure) {
 	fmt.Fprint(os.Stderr, f.Dump())
 }
 
-func runSingle(s dcfguard.Scenario, seed uint64, series, perNode bool, pcapPath string, seedTO time.Duration) error {
+func runSingle(s dcfguard.Scenario, c *cli) error {
 	start := time.Now() //detlint:allow wallclock -- host-side CLI timing, outside the simulation
-	r, err := dcfguard.RunGuarded(s, seed, seedTO)
+	r, err := dcfguard.RunGuarded(s, c.seed, c.seedTO)
 	if err != nil {
 		var f *dcfguard.SeedFailure
 		if errors.As(err, &f) {
@@ -332,7 +436,7 @@ func runSingle(s dcfguard.Scenario, seed uint64, series, perNode bool, pcapPath 
 		fmt.Printf("fault injection   %d frames dropped, %d receiver restarts\n",
 			r.FaultDrops, r.Restarts)
 	}
-	if perNode {
+	if c.perNode {
 		ids := make([]dcfguard.NodeID, 0, len(r.ThroughputBySender))
 		for id := range r.ThroughputBySender {
 			ids = append(ids, id)
@@ -342,7 +446,7 @@ func runSingle(s dcfguard.Scenario, seed uint64, series, perNode bool, pcapPath 
 			fmt.Printf("  sender %-3d %.1f Kbps\n", id, r.ThroughputBySender[id])
 		}
 	}
-	if series {
+	if c.series {
 		fmt.Println("diagnosis series (1 s bins):")
 		for _, p := range r.Series {
 			fmt.Printf("  t=%-4.0fs correct=%5.1f%% (%d packets)\n",
@@ -352,8 +456,8 @@ func runSingle(s dcfguard.Scenario, seed uint64, series, perNode bool, pcapPath 
 	if r.Trace != nil {
 		fmt.Printf("frame timeline (first %d transmissions):\n", r.Trace.Len())
 		fmt.Print(r.Trace.Text())
-		if pcapPath != "" {
-			f, err := os.Create(pcapPath)
+		if c.pcapPath != "" {
+			f, err := os.Create(c.pcapPath)
 			if err != nil {
 				return err
 			}
@@ -361,22 +465,22 @@ func runSingle(s dcfguard.Scenario, seed uint64, series, perNode bool, pcapPath 
 			if err := r.Trace.WritePcap(f); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", pcapPath)
+			fmt.Printf("wrote %s\n", c.pcapPath)
 		}
 	}
 	return nil
 }
 
-func runAggregate(s dcfguard.Scenario, n int, series bool, csvPath, journal string, seedTO time.Duration, o *obsRun) error {
+func runAggregate(s dcfguard.Scenario, c *cli, o *obsRun) error {
 	start := time.Now() //detlint:allow wallclock -- host-side CLI timing, outside the simulation
-	cells := make([]dcfguard.SweepCell, n)
-	for i, seed := range dcfguard.Seeds(n) {
+	cells := make([]dcfguard.SweepCell, c.seeds)
+	for i, seed := range dcfguard.Seeds(c.seeds) {
 		cells[i] = dcfguard.SweepCell{Scenario: s, Seed: seed}
 	}
 	stopTicker := o.startTicker(start)
 	report, err := dcfguard.RunSweep(cells, dcfguard.SweepOptions{
-		JournalDir:  journal,
-		SeedTimeout: seedTO,
+		JournalDir:  c.journal,
+		SeedTimeout: c.seedTO,
 		Progress:    o.sweepProgress(),
 	})
 	stopTicker()
@@ -385,7 +489,7 @@ func runAggregate(s dcfguard.Scenario, n int, series bool, csvPath, journal stri
 	}
 	if report.Resumed > 0 {
 		fmt.Printf("resumed %d of %d cells from %s (%d run now)\n",
-			report.Resumed, len(cells), journal, report.Ran)
+			report.Resumed, len(cells), c.journal, report.Ran)
 	}
 	// A failed seed must not cost the finished ones: summarise the
 	// partial results, dump the diagnostics, exit non-zero.
@@ -395,11 +499,11 @@ func runAggregate(s dcfguard.Scenario, n int, series bool, csvPath, journal stri
 			ok = append(ok, r)
 		}
 	}
-	if csvPath != "" && len(ok) > 0 {
-		if err := atomicio.WriteFile(csvPath, []byte(dcfguard.ResultsCSV(ok)), 0o644); err != nil {
+	if c.csvPath != "" && len(ok) > 0 {
+		if err := atomicio.WriteFile(c.csvPath, []byte(dcfguard.ResultsCSV(ok)), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", csvPath)
+		fmt.Printf("wrote %s\n", c.csvPath)
 	}
 	if !report.OK() {
 		for _, f := range report.Failures {
@@ -407,11 +511,11 @@ func runAggregate(s dcfguard.Scenario, n int, series bool, csvPath, journal stri
 		}
 		if len(ok) > 0 {
 			fmt.Printf("partial results: %d of %d seeds completed\n", len(ok), len(cells))
-			printAggregate(dcfguard.AggregateResults(s.Name, ok), series, start)
+			printAggregate(dcfguard.AggregateResults(s.Name, ok), c.series, start)
 		}
 		return fmt.Errorf("%d of %d seeds failed", len(report.Failures), len(cells))
 	}
-	printAggregate(dcfguard.AggregateResults(s.Name, report.Results), series, start)
+	printAggregate(dcfguard.AggregateResults(s.Name, report.Results), c.series, start)
 	return nil
 }
 

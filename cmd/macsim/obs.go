@@ -28,26 +28,24 @@ type obsFlags struct {
 	explainJSON string
 }
 
-// registerObsFlags declares the observability flags on the default set.
-func registerObsFlags() *obsFlags {
-	f := &obsFlags{}
-	flag.StringVar(&f.metrics, "metrics", "",
+// register declares the observability flags on fs.
+func (f *obsFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&f.metrics, "metrics", "",
 		"write a metrics-registry snapshot (JSON) to this file after the run; with -seeds the registry aggregates across all cells")
-	flag.StringVar(&f.traceCats, "trace-events", "",
+	fs.StringVar(&f.traceCats, "trace-events", "",
 		"decision-trace categories to record: comma list of mac,backoff,deviation,diagnosis,channel, or all")
-	flag.StringVar(&f.traceOut, "trace-out", "",
+	fs.StringVar(&f.traceOut, "trace-out", "",
 		"write traced events as JSON lines to this file (single run only; implies -trace-events all unless set)")
-	flag.StringVar(&f.diagCSV, "diag-csv", "",
+	fs.StringVar(&f.diagCSV, "diag-csv", "",
 		"write the monitor's diagnosis trail as CSV to this file (single run only; enables the diagnosis category)")
-	flag.StringVar(&f.debugAddr, "debug-addr", "",
+	fs.StringVar(&f.debugAddr, "debug-addr", "",
 		"serve live introspection (pprof, /debug/metrics, /debug/sweep) on this address, e.g. localhost:6060")
-	flag.BoolVar(&f.progress, "progress", false,
+	fs.BoolVar(&f.progress, "progress", false,
 		"with -seeds: print a periodic progress line (cells done, failures, retries, events/sec, wall ETA) to stderr")
-	flag.StringVar(&f.explain, "explain", "",
+	fs.StringVar(&f.explain, "explain", "",
 		"after a single run, print the evidence chain behind every diagnosis decision about this sender id ('all' for every node)")
-	flag.StringVar(&f.explainJSON, "explain-json", "",
+	fs.StringVar(&f.explainJSON, "explain-json", "",
 		"with -explain: also write the evidence chains as JSON lines to this file")
-	return f
 }
 
 // obsRun is one invocation's assembled observability state: the scenario

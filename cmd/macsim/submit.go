@@ -1,11 +1,11 @@
 package main
 
-// macsim -submit: the CLI as a thin client of dcfserved. The same
-// topology/misbehavior flags that drive a local run are serialized
-// into a job spec and shipped to the daemon; the client then polls
-// status (honoring 429 Retry-After on the way in), streams progress,
-// and optionally downloads results.csv — so a daemon-submitted sweep
-// is interchangeable with `macsim -seeds`, down to the CSV bytes.
+// macsim -submit: the CLI as a thin client of dcfserved. The spec
+// scenarioSpec builds for a local run is wrapped in a job spec and
+// shipped to the daemon; the client then polls status (honoring 429
+// Retry-After on the way in), streams progress, and optionally
+// downloads results.csv — so a daemon-submitted sweep is
+// interchangeable with `macsim -seeds`, down to the CSV bytes.
 
 import (
 	"bufio"
@@ -19,121 +19,10 @@ import (
 	"strings"
 	"time"
 
-	"dcfguard"
+	"dcfguard/internal/atomicio"
 	"dcfguard/internal/experiment"
 	"dcfguard/internal/serve"
 )
-
-// submitArgs carries the raw flag values into client mode.
-type submitArgs struct {
-	url, job, tenant            string
-	protocol, strategy, channel string
-	pm, senders, misNode        int
-	twoFlow                     bool
-	random, mis                 int
-	scaled                      bool
-	duration                    time.Duration
-	seed                        uint64
-	seeds, shards               int
-	fer                         float64
-	burst, churn                string
-	basic, adaptive, block      bool
-	csvPath                     string
-	follow                      bool
-}
-
-// wireStrategy maps macsim's short strategy flags onto the spec's wire
-// names; wire names themselves pass through untouched.
-func wireStrategy(s string) string {
-	switch s {
-	case "quarter":
-		return "quarter-window"
-	case "nodouble":
-		return "no-doubling"
-	case "liar":
-		return "attempt-liar"
-	}
-	return s
-}
-
-// jobSpec renders the flag values as the daemon's wire format. The
-// daemon re-validates everything; this is a best-effort translation,
-// not a second validator.
-func (a submitArgs) jobSpec() (serve.JobSpec, error) {
-	sp := experiment.ScenarioSpec{
-		Protocol: a.protocol,
-		Strategy: wireStrategy(a.strategy),
-		Channel:  a.channel,
-		PM:       a.pm,
-		Duration: a.duration.String(),
-	}
-	if a.shards > 1 {
-		sp.Shards = a.shards
-	}
-	if a.random > 0 {
-		kind := "random"
-		if a.scaled {
-			kind = "scaled-random"
-		}
-		sp.Topo = experiment.TopoSpec{Kind: kind, Nodes: a.random, Mis: a.mis}
-		sp.Name = fmt.Sprintf("random-%d", a.random)
-	} else {
-		sp.Topo = experiment.TopoSpec{Kind: "star", Senders: a.senders, TwoFlow: a.twoFlow}
-		if a.misNode > 0 {
-			sp.Topo.Misbehaving = []int{a.misNode}
-		}
-		sp.Name = fmt.Sprintf("star-%d", a.senders)
-	}
-	if a.basic {
-		m := experiment.DefaultScenario().MAC
-		m.BasicAccess = true
-		sp.MAC = &m
-	}
-	if a.adaptive || a.block {
-		c := experiment.DefaultScenario().Core
-		c.AdaptiveThresh = a.adaptive
-		c.BlockDiagnosed = a.block
-		sp.Core = &c
-	}
-	if a.fer > 0 || a.burst != "" || a.churn != "" {
-		f := &experiment.FaultsSpec{FER: a.fer}
-		if a.burst != "" {
-			var meanFER, r float64
-			if _, err := fmt.Sscanf(a.burst, "%g,%g", &meanFER, &r); err != nil {
-				return serve.JobSpec{}, fmt.Errorf("-burst %q: want 'fer,r': %v", a.burst, err)
-			}
-			if !(meanFER >= 0 && meanFER < 1) || !(r > 0 && r <= 1) {
-				return serve.JobSpec{}, fmt.Errorf("-burst %q: need fer in [0,1) and r in (0,1]", a.burst)
-			}
-			ge := dcfguard.GEForMeanFER(meanFER, r)
-			f.Burst = &experiment.GESpec{
-				PGoodBad: ge.PGoodBad, PBadGood: ge.PBadGood,
-				GoodFER: ge.GoodFER, BadFER: ge.BadFER,
-			}
-			f.FER = 0
-		}
-		if a.churn != "" {
-			parts := strings.SplitN(a.churn, ",", 2)
-			f.ChurnInterval = parts[0]
-			if len(parts) == 2 {
-				f.ChurnDowntime = parts[1]
-			}
-		}
-		sp.Faults = f
-	}
-
-	name := a.job
-	if name == "" {
-		name = fmt.Sprintf("macsim-%s-pm%d", sp.Name, a.pm)
-	}
-	js := serve.JobSpec{Name: name, Tenant: a.tenant, Scenario: sp}
-	if a.seeds > 0 {
-		js.Seeds = a.seeds
-	} else {
-		js.SeedList = []uint64{a.seed}
-	}
-	return js, nil
-}
 
 // retryAfterHint reads a 429's Retry-After header (seconds), falling
 // back when absent or unparsable.
@@ -315,17 +204,22 @@ func getStatus(base, name string) (serve.JobStatus, error) {
 // runSubmit is the client-mode main loop: submit (with 429 backoff),
 // poll to terminal, download, and translate the final state into the
 // process exit code.
-func runSubmit(a submitArgs) error {
-	js, err := a.jobSpec()
-	if err != nil {
-		return err
+func runSubmit(c *cli, sp experiment.ScenarioSpec) error {
+	js := serve.JobSpec{Name: c.job, Tenant: c.tenant, Scenario: sp}
+	if js.Name == "" {
+		js.Name = fmt.Sprintf("macsim-%s-pm%d", sp.Name, sp.PM)
+	}
+	if c.seeds > 0 {
+		js.Seeds = c.seeds
+	} else {
+		js.SeedList = []uint64{c.seed}
 	}
 	body, err := json.Marshal(js)
 	if err != nil {
 		return err
 	}
 
-	base := strings.TrimSuffix(a.url, "/")
+	base := strings.TrimSuffix(c.submit, "/")
 	var status serve.JobStatus
 	for attempt := 1; ; attempt++ {
 		resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
@@ -353,7 +247,7 @@ func runSubmit(a submitArgs) error {
 	}
 	fmt.Printf("submitted %q (%d cells) to %s\n", status.Name, status.Cells.Total, base)
 
-	if a.follow {
+	if c.follow {
 		// Event-driven: stream /jobs/{name}/events instead of polling.
 		// The stream ends at the job's terminal state; fetch the final
 		// status once for the artifact list and failure summary.
@@ -384,7 +278,7 @@ func runSubmit(a submitArgs) error {
 		}
 	}
 
-	if a.csvPath != "" && status.State != serve.StateDegraded {
+	if c.csvPath != "" && status.State != serve.StateDegraded {
 		resp, err := http.Get(base + "/jobs/" + status.Name + "/artifacts/results.csv")
 		if err != nil {
 			return err
@@ -394,10 +288,10 @@ func runSubmit(a submitArgs) error {
 		if resp.StatusCode != http.StatusOK {
 			return fmt.Errorf("downloading results.csv: %s", resp.Status)
 		}
-		if err := os.WriteFile(a.csvPath, data, 0o644); err != nil {
+		if err := atomicio.WriteFile(c.csvPath, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", a.csvPath, len(data))
+		fmt.Printf("wrote %s (%d bytes)\n", c.csvPath, len(data))
 	}
 
 	switch status.State {

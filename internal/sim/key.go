@@ -26,9 +26,8 @@ import "fmt"
 // clear bit 63, so at equal instants physical arrivals order before
 // local timers; within each class the order follows the encoded IDs.
 //
-// Keys replace the seq field inside queue entries, so both queue
-// implementations order keyed schedulers with the unchanged
-// (when, seq) comparison.
+// Keys replace the seq field inside queue entries, so the event queue
+// orders keyed schedulers with the unchanged (when, seq) comparison.
 
 const (
 	// keyOwnerBit distinguishes owner keys (set) from fan keys (clear).
@@ -139,7 +138,7 @@ func (s *Scheduler) AtKeyedArg(when Time, key uint64, fn func(arg any, when Time
 	ev.seq = key
 	ev.afn = fn
 	ev.arg = arg
-	s.qpush(entry{when: when, seq: key, idx: idx, gen: ev.gen})
+	s.q.push(entry{when: when, seq: key, idx: idx, gen: ev.gen})
 	s.live++
 	return EventRef{s: s, idx: idx, gen: ev.gen}
 }

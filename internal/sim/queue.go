@@ -1,13 +1,8 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
 // entry is one priority-queue element: a compact by-value copy of the
-// event's ordering key plus its slab address. 24 bytes, so sift and
-// bucket moves are plain value copies and comparisons never touch the
+// event's ordering key plus its slab address. 24 bytes, so bucket
+// moves are plain value copies and comparisons never touch the
 // slab. gen detects lazily-deleted entries at pop time.
 type entry struct {
 	when Time
@@ -17,164 +12,11 @@ type entry struct {
 }
 
 // entryLess orders entries by (when, seq): time first, FIFO within a
-// time. seq is unique per scheduler, so the order is total — both queue
-// implementations pop in exactly the same sequence.
+// time. seq is unique per scheduler, so the order is total: any correct
+// priority queue pops a given entry stream in exactly one sequence.
 func entryLess(a, b entry) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
 	return a.seq < b.seq
-}
-
-// eventQueue is the internal priority-queue contract: push entries, pop
-// them minimum-first in (when, seq) order. Implementations need no
-// delete — cancellation is lazy (the scheduler skips stale entries).
-type eventQueue interface {
-	push(e entry)
-	pop() (entry, bool)
-	len() int
-}
-
-// QueueKind selects an eventQueue implementation.
-type QueueKind uint8
-
-const (
-	// QueueHeap is the 4-ary implicit min-heap: O(log n) operations
-	// over one contiguous []entry. Kept selectable (macsim -queue heap)
-	// as the simple reference and for workloads whose queue profile
-	// defeats the calendar's width calibration.
-	QueueHeap QueueKind = iota + 1
-	// QueueCalendar is a calendar queue (Brown 1988) with front-sampled
-	// width calibration: amortised O(1) push/pop. The bench suite's
-	// winner at every measured size — 1.5× the heap at 40/200 nodes and
-	// 2.1× at 400 (see DESIGN.md §10) — and the default.
-	QueueCalendar
-)
-
-// queueName returns the flag-facing name of the kind.
-func (k QueueKind) queueName() (string, error) {
-	switch k {
-	case QueueHeap:
-		return "heap", nil
-	case QueueCalendar:
-		return "calendar", nil
-	default:
-		return "", fmt.Errorf("sim: invalid queue kind %d", uint8(k))
-	}
-}
-
-// String returns the name used by ParseQueueKind.
-func (k QueueKind) String() string {
-	name, err := k.queueName()
-	if err != nil {
-		return fmt.Sprintf("QueueKind(%d)", uint8(k))
-	}
-	return name
-}
-
-// ParseQueueKind maps a flag value ("heap" or "calendar") to a kind.
-func ParseQueueKind(name string) (QueueKind, error) {
-	switch name {
-	case "heap":
-		return QueueHeap, nil
-	case "calendar":
-		return QueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown queue kind %q (want heap or calendar)", name)
-	}
-}
-
-// defaultQueueKind is the process-wide default for schedulers that do
-// not call SetQueue. Atomic because experiment sweeps build schedulers
-// from many goroutines; 0 reads as QueueCalendar.
-var defaultQueueKind atomic.Uint32
-
-// SetDefaultQueue sets the process-wide queue implementation (the
-// macsim -queue flag). It affects schedulers built after the call.
-func SetDefaultQueue(k QueueKind) {
-	if _, err := k.queueName(); err != nil {
-		panic(err.Error())
-	}
-	defaultQueueKind.Store(uint32(k))
-}
-
-// DefaultQueue returns the process-wide default queue kind.
-func DefaultQueue() QueueKind {
-	if k := QueueKind(defaultQueueKind.Load()); k != 0 {
-		return k
-	}
-	return QueueCalendar
-}
-
-// newQueue builds an empty queue of the given kind.
-func newQueue(k QueueKind) eventQueue {
-	if k == QueueCalendar {
-		return newCalendarQueue()
-	}
-	return &heapQueue{}
-}
-
-// ---- 4-ary min-heap ----------------------------------------------------
-
-// heapQueue is an implicit 4-ary min-heap over []entry: shallower than a
-// binary heap (fewer cache-missing levels per sift) at the cost of more
-// comparisons per level, and every comparison is a register-resident
-// value compare — no pointer chasing.
-type heapQueue struct {
-	a []entry
-}
-
-func (h *heapQueue) len() int { return len(h.a) }
-
-// push appends e and sifts it toward the root.
-func (h *heapQueue) push(e entry) {
-	i := len(h.a)
-	h.a = append(h.a, e)
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !entryLess(e, h.a[parent]) {
-			break
-		}
-		h.a[i] = h.a[parent]
-		i = parent
-	}
-	h.a[i] = e
-}
-
-// pop removes and returns the minimum entry.
-func (h *heapQueue) pop() (entry, bool) {
-	n := len(h.a)
-	if n == 0 {
-		return entry{}, false
-	}
-	root := h.a[0]
-	moved := h.a[n-1]
-	n--
-	h.a = h.a[:n]
-	if n > 0 {
-		i := 0
-		for {
-			first := 4*i + 1
-			if first >= n {
-				break
-			}
-			min := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if entryLess(h.a[c], h.a[min]) {
-					min = c
-				}
-			}
-			if !entryLess(h.a[min], moved) {
-				break
-			}
-			h.a[i] = h.a[min]
-			i = min
-		}
-		h.a[i] = moved
-	}
-	return root, true
 }

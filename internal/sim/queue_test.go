@@ -72,99 +72,98 @@ func TestCancelAfterRecycle(t *testing.T) {
 	}
 }
 
-// queueOp is the fuzzed workload alphabet for the equivalence check.
+// queueOp is the fuzzed entry-stream alphabet for the equivalence check.
 type queueOp struct {
-	Kind  uint8  // %3: 0,1 = schedule, 2 = cancel/reschedule
-	Delay uint16 // schedule delay in µs
-	Pick  uint16 // which live event to cancel
+	Kind  uint8  // %4: 0,1 = push a burst, 2 = pop, 3 = pop and push back
+	Burst uint8  // the burst pushes 1 + Burst%32 entries
+	Delay uint16 // push times lie Delay%512 µs after the last popped instant, spread by the burst index
+	Key   uint16 // nonzero: seqs in keyed-scheduler shape (out of push order) instead of FIFO
 }
 
-// TestQueueEquivalenceQuick pins pop-order equivalence between the heap
-// and the calendar queue: the same random schedule/cancel/reschedule
-// workload, driven through two schedulers differing only in QueueKind,
-// must fire identical (time, seq-FIFO) sequences.
+// TestQueueEquivalenceQuick pins the calendar queue's pop order to the
+// heap oracle: the same random entry stream, pushed into both, must pop
+// identical entries at every step. The stream covers what the scheduler
+// does to its queue — FIFO and keyed seqs, same-instant bursts large
+// enough to force resizes, and Run's push-back of a popped entry.
 func TestQueueEquivalenceQuick(t *testing.T) {
-	run := func(kind QueueKind, ops []queueOp) []Time {
-		var s Scheduler
-		s.SetQueue(kind)
-		var fireLog []Time
-		var live []EventRef
-		record := func() { fireLog = append(fireLog, s.Now()) }
+	f := func(ops []queueOp) bool {
+		cal, ref := newCalendarQueue(), &heapQueue{}
+		var now Time
+		var seq uint64
+		popBoth := func() (entry, bool, bool) {
+			c, cok := cal.pop()
+			h, hok := ref.pop()
+			return c, cok, cok == hok && c == h && cal.len() == ref.len()
+		}
 		for _, op := range ops {
-			switch op.Kind % 3 {
+			switch op.Kind % 4 {
 			case 0, 1:
-				d := Time(op.Delay%512) * Microsecond
-				live = append(live, s.After(d, record))
-			case 2:
-				if len(live) == 0 {
+				for i := 0; i <= int(op.Burst%32); i++ {
+					seq++
+					e := entry{when: now + Time(op.Delay%512+uint16(i%4))*Microsecond, seq: seq, idx: uint32(seq)}
+					if op.Key != 0 {
+						// Keys sort by their high bits, not push order;
+						// the counter in the low bits keeps them unique.
+						e.seq = uint64(op.Key^uint16(i*7919))<<32 | seq
+					}
+					cal.push(e)
+					ref.push(e)
+				}
+			case 2, 3:
+				e, ok, same := popBoth()
+				if !same {
+					return false
+				}
+				if !ok {
 					continue
 				}
-				i := int(op.Pick) % len(live)
-				if !live[i].Cancelled() {
-					s.Cancel(live[i])
-					// Reschedule: the cancelled slot's recycled storage
-					// immediately hosts a new event (timer Reset shape).
-					live[i] = s.After(Time(op.Delay%512)*Microsecond, record)
+				now = e.when
+				if op.Kind%4 == 3 {
+					cal.push(e)
+					ref.push(e)
 				}
 			}
-			if op.Kind%7 == 3 {
-				s.Run(s.Now() + Time(op.Delay%64)*Microsecond)
-			}
 		}
-		s.Drain()
-		return fireLog
-	}
-	f := func(ops []queueOp) bool {
-		heapLog := run(QueueHeap, ops)
-		calLog := run(QueueCalendar, ops)
-		if len(heapLog) != len(calLog) {
-			return false
-		}
-		for i := range heapLog {
-			if heapLog[i] != calLog[i] {
+		for {
+			_, ok, same := popBoth()
+			if !same {
 				return false
 			}
+			if !ok {
+				return true
+			}
 		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQueueEquivalenceFIFOBurst checks the tie-break directly: many
-// same-instant events must pop in scheduling order on both queues.
+// TestQueueEquivalenceFIFOBurst checks the tie-break directly: 500
+// entries at two interleaved instants must pop from the calendar
+// exactly as from the heap — every t=0 entry first, each instant in
+// push (seq) order.
 func TestQueueEquivalenceFIFOBurst(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
-		var s Scheduler
-		s.SetQueue(kind)
-		var order []int
-		for i := 0; i < 500; i++ {
-			i := i
-			// Two instants interleaved, plus a shared burst at time 2µs.
-			s.At(Time(i%2)*Microsecond, func() { order = append(order, i) })
+	cal, ref := newCalendarQueue(), &heapQueue{}
+	for i := 0; i < 500; i++ {
+		e := entry{when: Time(i%2) * Microsecond, seq: uint64(i), idx: uint32(i)}
+		cal.push(e)
+		ref.push(e)
+	}
+	for pos := 0; pos < 500; pos++ {
+		c, cok := cal.pop()
+		h, hok := ref.pop()
+		if !cok || !hok || c != h {
+			t.Fatalf("pop %d: calendar %+v (%v), heap %+v (%v)", pos, c, cok, h, hok)
 		}
-		s.Drain()
-		seenEven, seenOdd := -1, -1
-		for pos, i := range order {
-			if i%2 == 1 && seenEven < 500/2-1 && pos >= 500/2 {
-				t.Fatalf("%v: odd-time event %d popped before all even-time events", kind, i)
-			}
-			if i%2 == 0 {
-				if i <= seenEven {
-					t.Fatalf("%v: FIFO violation at t=0: %d after %d", kind, i, seenEven)
-				}
-				seenEven = i
-			} else {
-				if i <= seenOdd {
-					t.Fatalf("%v: FIFO violation at t=1µs: %d after %d", kind, i, seenOdd)
-				}
-				seenOdd = i
-			}
+		// Evens (t=0) pop first in order, then the odds (t=1µs).
+		want := 2*pos%500 + pos/250
+		if int(c.seq) != want {
+			t.Fatalf("pop %d: seq %d, want %d", pos, c.seq, want)
 		}
-		if len(order) != 500 {
-			t.Fatalf("%v: fired %d of 500", kind, len(order))
-		}
+	}
+	if _, ok := cal.pop(); ok {
+		t.Fatal("calendar holds entries past the 500 pushed")
 	}
 }
 
@@ -173,7 +172,6 @@ func TestQueueEquivalenceFIFOBurst(t *testing.T) {
 // halvings), then a second burst — popping in order throughout.
 func TestCalendarResizeCycles(t *testing.T) {
 	var s Scheduler
-	s.SetQueue(QueueCalendar)
 	fired := 0
 	last := Time(-1)
 	check := func() {
@@ -196,53 +194,86 @@ func TestCalendarResizeCycles(t *testing.T) {
 	}
 }
 
-// TestSetQueueAfterScheduleRejected pins the SetQueue precondition.
-func TestSetQueueAfterScheduleRejected(t *testing.T) {
-	var s Scheduler
-	s.After(Microsecond, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetQueue after scheduling did not panic")
-		}
-	}()
-	s.SetQueue(QueueCalendar)
-}
-
-// TestParseQueueKind covers the flag surface.
-func TestParseQueueKind(t *testing.T) {
-	for name, want := range map[string]QueueKind{"heap": QueueHeap, "calendar": QueueCalendar} {
-		got, err := ParseQueueKind(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseQueueKind(%q) = %v, %v", name, got, err)
-		}
-		if got.String() != name {
-			t.Fatalf("%v.String() = %q, want %q", got, got.String(), name)
-		}
-	}
-	if _, err := ParseQueueKind("ladder"); err == nil {
-		t.Fatal("ParseQueueKind accepted an unknown kind")
-	}
-}
-
 // TestCompactBoundsStaleEntries pins the lazy-deletion safety valve: a
 // workload that cancels far more than it fires must not accumulate
 // unbounded queue entries.
 func TestCompactBoundsStaleEntries(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
-		var s Scheduler
-		s.SetQueue(kind)
-		keep := s.After(Second, func() {})
-		for i := 0; i < 100_000; i++ {
-			r := s.After(Millisecond, func() { t.Fatal("cancelled event fired") })
-			s.Cancel(r)
-		}
-		if qlen := s.q.len(); qlen > 1024 {
-			t.Fatalf("%v: queue holds %d entries for 1 live event; compaction failed", kind, qlen)
-		}
-		if s.Pending() != 1 {
-			t.Fatalf("%v: Pending = %d, want 1", kind, s.Pending())
-		}
-		s.Cancel(keep)
-		s.Drain()
+	var s Scheduler
+	keep := s.After(Second, func() {})
+	for i := 0; i < 100_000; i++ {
+		r := s.After(Millisecond, func() { t.Fatal("cancelled event fired") })
+		s.Cancel(r)
 	}
+	if qlen := s.q.len(); qlen > 1024 {
+		t.Fatalf("queue holds %d entries for 1 live event; compaction failed", qlen)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", s.Pending())
+	}
+	s.Cancel(keep)
+	s.Drain()
+}
+
+// heapQueue is the test oracle for calendarQueue: an implicit 4-ary
+// min-heap over []entry, simple enough to be obviously right. It was
+// the scheduler's queue before the calendar won the bench suite at
+// every measured size (DESIGN.md §10); the equivalence tests below pin
+// the calendar's pop order to it.
+type heapQueue struct {
+	a []entry
+}
+
+func (h *heapQueue) len() int { return len(h.a) }
+
+// push appends e and sifts it toward the root.
+func (h *heapQueue) push(e entry) {
+	i := len(h.a)
+	h.a = append(h.a, e)
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !entryLess(e, h.a[parent]) {
+			break
+		}
+		h.a[i] = h.a[parent]
+		i = parent
+	}
+	h.a[i] = e
+}
+
+// pop removes and returns the minimum entry.
+func (h *heapQueue) pop() (entry, bool) {
+	n := len(h.a)
+	if n == 0 {
+		return entry{}, false
+	}
+	root := h.a[0]
+	moved := h.a[n-1]
+	n--
+	h.a = h.a[:n]
+	if n > 0 {
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
+			}
+			min := first
+			end := first + 4
+			if end > n {
+				end = n
+			}
+			for c := first + 1; c < end; c++ {
+				if entryLess(h.a[c], h.a[min]) {
+					min = c
+				}
+			}
+			if !entryLess(h.a[min], moved) {
+				break
+			}
+			h.a[i] = h.a[min]
+			i = min
+		}
+		h.a[i] = moved
+	}
+	return root, true
 }

@@ -67,20 +67,13 @@ func (r EventRef) When() Time {
 // through an intrusive free list, so a steady-state run allocates
 // nothing per event. The priority queue holds compact 24-byte
 // (when, seq, idx, gen) entries by value — comparisons never chase an
-// event pointer — behind the eventQueue interface (see queue.go), with
-// the implementation selectable per scheduler or process-wide.
-// Cancellation is lazy: Cancel releases the slab record (bumping its
-// generation) and leaves the queue entry in place; the pop loop skips
-// entries whose generation no longer matches.
+// event pointer — in a calendar queue (see calendar.go). Cancellation
+// is lazy: Cancel releases the slab record (bumping its generation) and
+// leaves the queue entry in place; the pop loop skips entries whose
+// generation no longer matches.
 type Scheduler struct {
-	now Time
-	q   eventQueue
-	// hq/cq are the concrete queue, exactly one non-nil once q is set:
-	// the hot paths branch on hq rather than dispatching through the
-	// interface, which keeps push/pop direct (and inlinable) calls.
-	hq      *heapQueue
-	cq      *calendarQueue
-	kind    QueueKind // 0 = unset: resolve from the package default
+	now     Time
+	q       *calendarQueue
 	nextSeq uint64
 	fired   uint64
 	stopped bool
@@ -137,53 +130,12 @@ func (s *Scheduler) Pending() int { return s.live }
 // the slab's free list (observability for pool tests and benchmarks).
 func (s *Scheduler) PoolSize() int { return s.freeCount }
 
-// ensureQueue resolves the queue implementation on first use.
+// ensureQueue builds the queue on first use, keeping the zero
+// Scheduler ready to use.
 func (s *Scheduler) ensureQueue() {
-	if s.q != nil {
-		return
+	if s.q == nil {
+		s.q = newCalendarQueue()
 	}
-	k := s.kind
-	if k == 0 {
-		k = DefaultQueue()
-	}
-	s.q = newQueue(k)
-	switch q := s.q.(type) {
-	case *heapQueue:
-		s.hq = q
-	case *calendarQueue:
-		s.cq = q
-	}
-}
-
-// qpush and qpop dispatch to the concrete queue without an interface
-// call; the hq-nil branch is perfectly predicted within a run.
-func (s *Scheduler) qpush(e entry) {
-	if s.hq != nil {
-		s.hq.push(e)
-	} else {
-		s.cq.push(e)
-	}
-}
-
-func (s *Scheduler) qpop() (entry, bool) {
-	if s.hq != nil {
-		return s.hq.pop()
-	}
-	return s.cq.pop()
-}
-
-// SetQueue selects the priority-queue implementation for this scheduler.
-// It must be called before any event is scheduled; both implementations
-// pop in identical (when, seq) order (pinned by the equivalence
-// quickcheck), so the choice affects performance only.
-func (s *Scheduler) SetQueue(k QueueKind) {
-	if s.q != nil || s.live > 0 {
-		panic("sim: SetQueue after events were scheduled")
-	}
-	if _, err := k.queueName(); err != nil {
-		panic(err.Error())
-	}
-	s.kind = k
 }
 
 // alloc takes a record from the slab free list, or grows the slab.
@@ -238,7 +190,7 @@ func (s *Scheduler) At(when Time, fn func()) EventRef {
 		ev.seq = s.nextOwnerKey()
 	}
 	ev.fn = fn
-	s.qpush(entry{when: when, seq: ev.seq, idx: idx, gen: ev.gen})
+	s.q.push(entry{when: when, seq: ev.seq, idx: idx, gen: ev.gen})
 	s.live++
 	return EventRef{s: s, idx: idx, gen: ev.gen}
 }
@@ -259,7 +211,7 @@ func (s *Scheduler) AtArg(when Time, fn func(arg any, when Time), arg any) Event
 	}
 	ev.afn = fn
 	ev.arg = arg
-	s.qpush(entry{when: when, seq: ev.seq, idx: idx, gen: ev.gen})
+	s.q.push(entry{when: when, seq: ev.seq, idx: idx, gen: ev.gen})
 	s.live++
 	return EventRef{s: s, idx: idx, gen: ev.gen}
 }
@@ -306,7 +258,7 @@ func (s *Scheduler) Cancel(r EventRef) {
 func (s *Scheduler) compact() {
 	s.scratch = s.scratch[:0]
 	for {
-		e, ok := s.qpop()
+		e, ok := s.q.pop()
 		if !ok {
 			break
 		}
@@ -315,7 +267,7 @@ func (s *Scheduler) compact() {
 		}
 	}
 	for _, e := range s.scratch {
-		s.qpush(e)
+		s.q.push(e)
 	}
 	s.stale = 0
 }
@@ -347,7 +299,7 @@ func (s *Scheduler) Run(until Time) {
 		if s.fired&(interruptStride-1) == 0 && s.interrupted.Load() {
 			return // cancelled: leave the clock at the last fired event
 		}
-		e, ok := s.qpop()
+		e, ok := s.q.pop()
 		if !ok {
 			break
 		}
@@ -356,7 +308,7 @@ func (s *Scheduler) Run(until Time) {
 			continue // lazily-deleted entry
 		}
 		if e.when > until {
-			s.qpush(e) // at most once per Run call
+			s.q.push(e) // at most once per Run call
 			break
 		}
 		s.fire(e)
@@ -378,7 +330,7 @@ func (s *Scheduler) RunWindow(horizon Time) {
 		if s.fired&(interruptStride-1) == 0 && s.interrupted.Load() {
 			return
 		}
-		e, ok := s.qpop()
+		e, ok := s.q.pop()
 		if !ok {
 			break
 		}
@@ -387,7 +339,7 @@ func (s *Scheduler) RunWindow(horizon Time) {
 			continue
 		}
 		if e.when >= horizon {
-			s.qpush(e) // at most once per RunWindow call
+			s.q.push(e) // at most once per RunWindow call
 			break
 		}
 		s.fire(e)
@@ -403,7 +355,7 @@ func (s *Scheduler) NextTime() (Time, bool) {
 		return 0, false
 	}
 	for {
-		e, ok := s.qpop()
+		e, ok := s.q.pop()
 		if !ok {
 			return 0, false
 		}
@@ -411,7 +363,7 @@ func (s *Scheduler) NextTime() (Time, bool) {
 			s.stale--
 			continue
 		}
-		s.qpush(e)
+		s.q.push(e)
 		return e.when, true
 	}
 }
@@ -424,7 +376,7 @@ func (s *Scheduler) Drain() {
 		if s.fired&(interruptStride-1) == 0 && s.interrupted.Load() {
 			return
 		}
-		e, ok := s.qpop()
+		e, ok := s.q.pop()
 		if !ok {
 			break
 		}
