@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint audit race idle-history bench-module bench bench-quick bench-full bench-large bench-guard check check-v2 faults obs serve shards clean
+.PHONY: all build test vet lint audit race idle-history world-build bench-module bench bench-quick bench-full bench-large bench-guard check check-v2 faults obs serve shards clean
 
 all: build
 
@@ -42,6 +42,14 @@ race:
 # the 10 s goldens, the only ones long enough to prune the history.
 idle-history:
 	$(GO) test -count=1 -run 'IdleObserverMatchesLinearReference|GoldenLongRun' ./internal/core ./internal/experiment
+
+# World-build gate, run without -short: the exactness quickchecks of
+# the grid-indexed topo.Random against the all-pairs reference, of
+# phys.Grid against a linear scan, and of the v2 neighbor index against
+# brute force (the 200-node corridor case included), plus one pass of
+# the world-build benchmarks.
+world-build:
+	$(GO) test -count=1 -run 'RandomMatchesQuadraticReference|GridMatchesScan|V2GridMatchesBruteForce' -bench 'RandomTopo|BuildIndex' -benchtime 1x ./internal/topo ./internal/phys ./internal/medium
 
 # The benchmark/ module is a separate Go module that imports
 # internal/sim, internal/experiment and internal/serve, so ./... from the
@@ -132,7 +140,7 @@ shards:
 # The pre-merge gate (see README "Pre-merge gate"), cheapest stages
 # first so failures surface in seconds: vet and the determinism
 # analyzers, then build, then the minutes-long race/bench stages.
-check: vet lint build bench-module race idle-history check-v2 faults obs serve shards bench bench-guard
+check: vet lint build bench-module race idle-history world-build check-v2 faults obs serve shards bench bench-guard
 
 clean:
 	$(GO) clean ./...

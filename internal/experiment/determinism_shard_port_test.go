@@ -180,3 +180,37 @@ func TestShardTraceStreamInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestShardTimelineCapMatchesSerial runs a frame timeline capped well
+// below the run's transmissions, serially and on the sharded replay
+// path: the delivery marks that arrive after the cap (and the ones the
+// replay delivers at each barrier) must leave a timeline byte-identical
+// to serial, with both delivered and lost outcomes recorded. v3
+// deliveries fire a propagation delay after the on-air end and must
+// still find their transmission.
+func TestShardTimelineCapMatchesSerial(t *testing.T) {
+	s := DefaultScenario()
+	s.Name = "shard-timeline-cap"
+	s.Topo = ScaledRandomTopo(120, 15)
+	s.Duration = 150 * sim.Millisecond
+	s.Channel = ChannelV3
+	s.TraceEvents = 400
+	var ref string
+	for _, shards := range []int{1, 2, 4} {
+		s.Shards = shards
+		r, err := Run(s, 2)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		sum := r.Trace.Summarize()
+		if r.Trace.Len() != s.TraceEvents || sum.Delivered == 0 || sum.Lost == 0 {
+			t.Fatalf("shards=%d: %d events (cap %d), summary %+v: cap not reached or outcomes missing",
+				shards, r.Trace.Len(), s.TraceEvents, sum)
+		}
+		if shards == 1 {
+			ref = r.Trace.Text()
+		} else if text := r.Trace.Text(); text != ref {
+			t.Errorf("shards=%d: capped frame timeline diverged from serial", shards)
+		}
+	}
+}

@@ -267,6 +267,13 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 	if s.TraceEvents > 0 {
 		rec := trace.New(s.TraceEvents)
 		result.Trace = rec
+		// A delivery fires when the frame ends at the addressee, which
+		// under v3 is the propagation delay after it ends on the air;
+		// the timeline keys transmissions by their on-air end.
+		var lag sim.Time
+		if keyed {
+			lag = medium.V3PropDelay
+		}
 		if shards > 1 {
 			shardTap = trace.NewShardedTap(rec, scheds)
 			med.Tap = func(src frame.NodeID, f frame.Frame, start, end sim.Time) {
@@ -275,11 +282,11 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 			}
 			med.DeliveryTap = func(f frame.Frame, now sim.Time) {
 				// Delivery fires on the addressee's completion event.
-				shardTap.MarkDelivered(shardOf[f.Dst], f, now)
+				shardTap.MarkDelivered(shardOf[f.Dst], f, now-lag)
 			}
 		} else {
 			med.Tap = rec.Tap
-			med.DeliveryTap = func(f frame.Frame, now sim.Time) { rec.MarkDelivered(f, now) }
+			med.DeliveryTap = func(f frame.Frame, now sim.Time) { rec.MarkDelivered(f, now-lag) }
 		}
 	}
 

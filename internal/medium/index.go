@@ -18,7 +18,7 @@ package medium
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"dcfguard/internal/frame"
 	"dcfguard/internal/phys"
@@ -39,47 +39,6 @@ type neighbor struct {
 	uCs, uRx float64
 }
 
-// cellKey addresses one grid cell.
-type cellKey struct{ cx, cy int32 }
-
-// grid is a uniform spatial hash over attached positions. The cell side
-// equals the network's largest interaction radius, so every node within
-// any transmitter's radius lies in the 3×3 cell block around it.
-type grid struct {
-	cell  float64
-	cells map[cellKey][]*node
-}
-
-func newGrid(cell float64, nodes []*node) *grid {
-	if cell <= 0 {
-		cell = 1 // no pair is feasible; any positive cell size works
-	}
-	g := &grid{cell: cell, cells: make(map[cellKey][]*node, len(nodes))}
-	for _, nd := range nodes {
-		k := g.keyFor(nd.pos)
-		g.cells[k] = append(g.cells[k], nd)
-	}
-	return g
-}
-
-func (g *grid) keyFor(p phys.Point) cellKey {
-	return cellKey{int32(math.Floor(p.X / g.cell)), int32(math.Floor(p.Y / g.cell))}
-}
-
-// visit calls fn for every node in the 3×3 cell block around p. Cell
-// contents are in attach (ascending ID) order and the block is walked
-// in fixed order, so enumeration is deterministic.
-func (g *grid) visit(p phys.Point, fn func(*node)) {
-	c := g.keyFor(p)
-	for dy := int32(-1); dy <= 1; dy++ {
-		for dx := int32(-1); dx <= 1; dx++ {
-			for _, nd := range g.cells[cellKey{c.cx + dx, c.cy + dy}] {
-				fn(nd)
-			}
-		}
-	}
-}
-
 // pairKeyFor derives the counter-RNG key of the ordered (tx, obs) link.
 func (m *Medium) pairKeyFor(tx, obs frame.NodeID) uint64 {
 	return rng.Mix64(rng.Mix64(m.v2Base, uint64(tx)), uint64(obs))
@@ -92,6 +51,13 @@ func (m *Medium) pairKeyFor(tx, obs frame.NodeID) uint64 {
 // than just allocation. Radii use the network-wide lowest threshold, a
 // safe over-approximation under heterogeneous radios; the per-pair
 // filter is exact.
+//
+// The build is O(n·k) for k candidates per transmitter: a phys.Grid
+// with cells at least the largest radius yields each transmitter's
+// candidates from its 3×3 cell block, a candidate beyond the
+// transmitter's own radius is dropped before any logarithm (beyond it,
+// MaxRangeFor guarantees the mean misses every threshold), and all
+// lists are carved from one backing array sized by the candidate count.
 func (m *Medium) buildIndex() {
 	slack := rng.NormBound * m.cfg.Model.SigmaDB
 	minThresh := math.Inf(1)
@@ -103,57 +69,81 @@ func (m *Medium) buildIndex() {
 			minThresh = t
 		}
 	}
+	// MaxRangeFor is a bisection; run it once per distinct transmit
+	// power (a network usually shares one radio).
+	reachByPower := make(map[float64]float64, 1)
+	pts := make([]phys.Point, len(m.nodes))
 	maxReach := 0.0
 	for i, nd := range m.nodes {
 		nd.idx = i
-		nd.reachM = m.cfg.Model.MaxRangeFor(nd.radio.TxPowerDBm, minThresh-slack)
-		if nd.reachM > maxReach {
-			maxReach = nd.reachM
+		pts[i] = nd.pos
+		reach, ok := reachByPower[nd.radio.TxPowerDBm]
+		if !ok {
+			reach = m.cfg.Model.MaxRangeFor(nd.radio.TxPowerDBm, minThresh-slack)
+			reachByPower[nd.radio.TxPowerDBm] = reach
+		}
+		nd.reachM = reach
+		if reach > maxReach {
+			maxReach = reach
 		}
 	}
 
-	appendFeasible := func(tx, obs *node) {
-		if obs == tx {
-			return
-		}
-		d := tx.pos.Distance(obs.pos)
-		mean := m.cfg.Model.MeanRxPowerDBm(tx.radio.TxPowerDBm, d)
-		if !m.bruteForce {
-			bound := mean + slack
-			if bound < obs.radio.CsThreshDBm && bound < obs.radio.RxThreshDBm {
-				return
-			}
-		}
-		tx.neighbors = append(tx.neighbors, neighbor{
-			obs:     obs,
-			meanDBm: mean,
-			pairKey: m.pairKeyFor(tx.id, obs.id),
-			uCs:     uniformThresh(obs.radio.CsThreshDBm, mean, m.cfg.Model.SigmaDB),
-			uRx:     uniformThresh(obs.radio.RxThreshDBm, mean, m.cfg.Model.SigmaDB),
-		})
-	}
-
+	// Candidate observers per transmitter, as m.nodes indices in
+	// ascending order — ascending ID — so same-instant events enqueue
+	// in the same order as v1 (results are order-independent, goldens
+	// are not). cand[ends[i-1]:ends[i]] belongs to m.nodes[i].
+	var cand []int32
+	ends := make([]int, len(m.nodes))
 	if m.bruteForce {
 		// Test reference: every ordered pair, no pruning, no grid.
-		for _, tx := range m.nodes {
-			tx.neighbors = tx.neighbors[:0]
-			for _, obs := range m.nodes {
-				appendFeasible(tx, obs)
+		for i := range m.nodes {
+			for j := range m.nodes {
+				if j != i {
+					cand = append(cand, int32(j))
+				}
 			}
+			ends[i] = len(cand)
 		}
 	} else {
-		g := newGrid(maxReach, m.nodes)
-		for _, tx := range m.nodes {
-			tx.neighbors = tx.neighbors[:0]
-			txp := tx
-			g.visit(tx.pos, func(obs *node) { appendFeasible(txp, obs) })
+		g := phys.NewGrid(pts, maxReach)
+		var block []int32
+		for i, tx := range m.nodes {
+			from := len(cand)
+			block = g.AppendNear(block[:0], tx.pos)
+			for _, j := range block {
+				if int(j) != i && tx.pos.Distance(pts[j]) <= tx.reachM {
+					cand = append(cand, j)
+				}
+			}
+			slices.Sort(cand[from:])
+			ends[i] = len(cand)
 		}
 	}
-	// Ascending observer ID, so same-instant events enqueue in the same
-	// order as v1 (results are order-independent, goldens are not).
-	for _, tx := range m.nodes {
-		nbs := tx.neighbors
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].obs.id < nbs[j].obs.id })
+
+	sigma := m.cfg.Model.SigmaDB
+	all := make([]neighbor, 0, len(cand))
+	from := 0
+	for i, tx := range m.nodes {
+		first := len(all)
+		for _, j := range cand[from:ends[i]] {
+			obs := m.nodes[j]
+			mean := m.cfg.Model.MeanRxPowerDBm(tx.radio.TxPowerDBm, tx.pos.Distance(obs.pos))
+			if !m.bruteForce {
+				bound := mean + slack
+				if bound < obs.radio.CsThreshDBm && bound < obs.radio.RxThreshDBm {
+					continue
+				}
+			}
+			all = append(all, neighbor{
+				obs:     obs,
+				meanDBm: mean,
+				pairKey: m.pairKeyFor(tx.id, obs.id),
+				uCs:     uniformThresh(obs.radio.CsThreshDBm, mean, sigma),
+				uRx:     uniformThresh(obs.radio.RxThreshDBm, mean, sigma),
+			})
+		}
+		tx.neighbors = all[first:len(all):len(all)]
+		from = ends[i]
 	}
 	m.cacheDirty = false
 }

@@ -2,6 +2,7 @@ package medium
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
 	"dcfguard/internal/frame"
@@ -29,9 +30,13 @@ func shadowedRadio(rangeScale float64) phys.Radio {
 }
 
 // v2TraceSetup builds a v2 medium over pseudo-random positions in a
-// width × 700 m arena (two alternating radio classes) and schedules a
-// deterministic script of interleaved RTS/DATA transmissions from every
-// node. It returns the scheduler and per-node recorders.
+// width × 700 m arena and schedules a deterministic script of
+// interleaved RTS/DATA transmissions from every node. Nodes cycle
+// through three radio classes: the paper radio, one with ranges scaled
+// to 0.6 (other thresholds, same power), and the paper radio at +6 dB
+// transmit power (same thresholds, twice the reach), so the index's
+// per-power reach and its reach pre-filter are both exercised. It
+// returns the scheduler and per-node recorders.
 func v2TraceSetup(seed uint64, n int, width float64, coherence sim.Time, brute bool) (*sim.Scheduler, []*recorder) {
 	var sched sim.Scheduler
 	med := New(&sched, v2Config(coherence), rng.New(seed))
@@ -41,12 +46,15 @@ func v2TraceSetup(seed uint64, n int, width float64, coherence sim.Time, brute b
 	recs := make([]*recorder, n)
 	for i := 0; i < n; i++ {
 		recs[i] = &recorder{}
-		scale := 1.0
-		if i%2 == 1 {
-			scale = 0.6
+		radio := shadowedRadio(1)
+		switch i % 3 {
+		case 1:
+			radio = shadowedRadio(0.6)
+		case 2:
+			radio.TxPowerDBm += 6
 		}
 		p := phys.Point{X: pos.Float64() * width, Y: pos.Float64() * 700}
-		med.Attach(frame.NodeID(i), p, shadowedRadio(scale), recs[i])
+		med.Attach(frame.NodeID(i), p, radio, recs[i])
 	}
 
 	// Script: node k transmits at k·spacing (+ per-round stride), frames
@@ -79,25 +87,32 @@ func v2TraceSetup(seed uint64, n int, width float64, coherence sim.Time, brute b
 // (transmitter, observer, frame) tuple, so the spatially-indexed medium
 // must produce event-for-event identical traces to an all-pairs
 // brute-force enumeration with no feasibility pruning — across random
-// topologies, both radio classes, and coherence on/off. A mismatch
+// topologies, all three radio classes, and coherence on/off. A mismatch
 // means either the grid missed a feasible pair or the NormBound pruning
-// discarded a reachable one.
+// (or the per-transmitter reach pre-filter) discarded a reachable one.
+// The 200-node case is the scaled corridor (150 m of width per node):
+// it spans hundreds of grid cells and leaves nodes with few or no
+// neighbors.
 func TestV2GridMatchesBruteForce(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 4, 5}
-	sizes := []int{9, 16}
+	// 2500 m wide: several grid cells, some pairs out of interaction
+	// range entirely.
+	sizes := []struct {
+		n     int
+		width float64
+	}{{9, 2500}, {16, 2500}, {200, 150 * 200}}
 	if testing.Short() {
 		seeds = seeds[:2]
 		sizes = sizes[:1]
 	}
 	for _, coherence := range []sim.Time{0, 20 * sim.Microsecond} {
-		for _, n := range sizes {
+		for _, size := range sizes {
 			for _, seed := range seeds {
+				n, width := size.n, size.width
 				name := fmt.Sprintf("n%d-seed%d-coh%v", n, seed, coherence > 0)
 				t.Run(name, func(t *testing.T) {
-					// 2500 m wide: several grid cells, some pairs out
-					// of interaction range entirely.
-					_, gridRecs := v2TraceSetup(seed, n, 2500, coherence, false)
-					_, bruteRecs := v2TraceSetup(seed, n, 2500, coherence, true)
+					_, gridRecs := v2TraceSetup(seed, n, width, coherence, false)
+					_, bruteRecs := v2TraceSetup(seed, n, width, coherence, true)
 					for i := range gridRecs {
 						g, b := gridRecs[i].events, bruteRecs[i].events
 						if len(g) != len(b) {
@@ -218,5 +233,37 @@ func attachInterleaveTrial(t *testing.T, channel ChannelModel) {
 func TestAttachTransmitInterleave(t *testing.T) {
 	for _, ch := range []ChannelModel{ChannelV1, ChannelV2} {
 		t.Run(ch.String(), func(t *testing.T) { attachInterleaveTrial(t, ch) })
+	}
+}
+
+// corridorMedium attaches n paper radios at uniform positions in the
+// experiment package's scaled corridor (150 m of width per node, 700 m
+// tall), the geometry of the large sharded runs.
+func corridorMedium(n int) *Medium {
+	var sched sim.Scheduler
+	med := New(&sched, v2Config(0), rng.New(1))
+	pos := rng.New(1).Stream("positions")
+	for i := 0; i < n; i++ {
+		p := phys.Point{X: pos.Float64() * 150 * float64(n), Y: pos.Float64() * 700}
+		med.Attach(frame.NodeID(i), p, phys.DefaultRadio(), &recorder{})
+	}
+	return med
+}
+
+// BenchmarkBuildIndex times one v2/v3 neighbor-index build — the
+// medium's share of a world build — from empty neighbor lists. With the
+// grid the 4000-node build costs about 10× the 400-node one.
+func BenchmarkBuildIndex(b *testing.B) {
+	for _, n := range []int{400, 4000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			med := corridorMedium(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, nd := range med.nodes {
+					nd.neighbors = nil
+				}
+				med.buildIndex()
+			}
+		})
 	}
 }

@@ -6,7 +6,7 @@ package topo
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"dcfguard/internal/frame"
 	"dcfguard/internal/phys"
@@ -116,56 +116,58 @@ func Star(nSenders int, twoFlow bool, misbehaving []frame.NodeID) *Topology {
 // in a width × height area; every node opens one backlogged flow to a
 // random neighbor within maxLink metres (or its nearest node when it
 // has no neighbor in range); nMis distinct flow sources, chosen at
-// random, misbehave.
+// random, misbehave. The neighbor is drawn uniformly from the in-range
+// nodes in ascending ID order; the nearest-node fallback breaks
+// distance ties toward the smaller ID. A spatial grid keeps the build
+// O(n·k) for k nodes per neighborhood: candidates come from the 3×3
+// cell block around each node, and the fallback from an exact ring
+// search.
 func Random(n int, width, height, maxLink float64, nMis int, src *rng.Source) *Topology {
 	if n < 2 || nMis < 0 || nMis > n {
 		panic(fmt.Sprintf("topo: Random(n=%d, nMis=%d)", n, nMis))
 	}
-	t := &Topology{Positions: make([]phys.Point, n)}
+	t := &Topology{
+		Positions: make([]phys.Point, n),
+		Flows:     make([]Flow, 0, n),
+		Measured:  make([]frame.NodeID, 0, n),
+	}
 	for i := range t.Positions {
 		t.Positions[i] = phys.Point{
 			X: src.Float64() * width,
 			Y: src.Float64() * height,
 		}
 	}
-	receivers := make(map[frame.NodeID]bool)
-	for i := 0; i < n; i++ {
+	g := phys.NewGrid(t.Positions, maxLink)
+	var block []int32
+	var candidates []frame.NodeID
+	for i, p := range t.Positions {
 		id := frame.NodeID(i)
-		// Candidate neighbors within range.
-		var candidates []frame.NodeID
-		nearest := frame.NodeID(-1)
-		nearestDist := math.Inf(1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
+		candidates = candidates[:0]
+		if maxLink >= 0 {
+			block = g.AppendNear(block[:0], p)
+			for _, j := range block {
+				if int(j) != i && p.Distance(t.Positions[j]) <= maxLink {
+					candidates = append(candidates, frame.NodeID(j))
+				}
 			}
-			d := t.Positions[i].Distance(t.Positions[j])
-			if d <= maxLink {
-				candidates = append(candidates, frame.NodeID(j))
-			}
-			if d < nearestDist {
-				nearestDist = d
-				nearest = frame.NodeID(j)
-			}
+			slices.Sort(candidates)
 		}
-		dst := nearest
+		var dst frame.NodeID
 		if len(candidates) > 0 {
 			dst = candidates[src.Intn(len(candidates))]
+		} else {
+			dst = frame.NodeID(g.Nearest(p, i))
 		}
 		t.Flows = append(t.Flows, Flow{Src: id, Dst: dst})
 		t.Measured = append(t.Measured, id)
-		receivers[dst] = true
 	}
-	for id := range receivers {
-		t.Receivers = append(t.Receivers, id)
-	}
-	sortIDs(t.Receivers)
+	t.Receivers = receiversOf(n, t.Flows)
 	// Pick nMis distinct misbehaving sources.
 	perm := src.Perm(n)
 	for _, p := range perm[:nMis] {
 		t.Misbehaving = append(t.Misbehaving, frame.NodeID(p))
 	}
-	sortIDs(t.Misbehaving)
+	slices.Sort(t.Misbehaving)
 	return t
 }
 
@@ -178,7 +180,6 @@ func Line(n int, spacing float64) *Topology {
 		panic(fmt.Sprintf("topo: Line(%d, %v)", n, spacing))
 	}
 	t := &Topology{Positions: make([]phys.Point, n)}
-	receivers := make(map[frame.NodeID]bool)
 	for i := 0; i < n; i++ {
 		t.Positions[i] = phys.Point{X: float64(i) * spacing}
 	}
@@ -186,12 +187,8 @@ func Line(n int, spacing float64) *Topology {
 		src, dst := frame.NodeID(i), frame.NodeID(i+1)
 		t.Flows = append(t.Flows, Flow{Src: src, Dst: dst})
 		t.Measured = append(t.Measured, src)
-		receivers[dst] = true
 	}
-	for id := range receivers {
-		t.Receivers = append(t.Receivers, id)
-	}
-	sortIDs(t.Receivers)
+	t.Receivers = receiversOf(n, t.Flows)
 	return t
 }
 
@@ -203,7 +200,6 @@ func Grid(cols, rows int, spacing float64) *Topology {
 		panic(fmt.Sprintf("topo: Grid(%d, %d, %v)", cols, rows, spacing))
 	}
 	t := &Topology{Positions: make([]phys.Point, cols*rows)}
-	receivers := make(map[frame.NodeID]bool)
 	id := func(c, r int) frame.NodeID { return frame.NodeID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -221,20 +217,26 @@ func Grid(cols, rows int, spacing float64) *Topology {
 			}
 			t.Flows = append(t.Flows, Flow{Src: src, Dst: dst})
 			t.Measured = append(t.Measured, src)
-			receivers[dst] = true
 		}
 	}
-	for rid := range receivers {
-		t.Receivers = append(t.Receivers, rid)
-	}
-	sortIDs(t.Receivers)
+	t.Receivers = receiversOf(len(t.Positions), t.Flows)
 	return t
 }
 
-func sortIDs(ids []frame.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// receiversOf returns the distinct destinations of flows among nodes
+// 0..n-1, in ascending ID order.
+func receiversOf(n int, flows []Flow) []frame.NodeID {
+	isDst := make([]bool, n)
+	for _, f := range flows {
+		if f.Dst >= 0 && int(f.Dst) < n {
+			isDst[f.Dst] = true
 		}
 	}
+	var ids []frame.NodeID
+	for id, ok := range isDst {
+		if ok {
+			ids = append(ids, frame.NodeID(id))
+		}
+	}
+	return ids
 }

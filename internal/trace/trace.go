@@ -56,12 +56,23 @@ type Recorder struct {
 	events []Event
 	// cap bounds memory; 0 means unlimited.
 	cap int
+	// pending lists, per (end, frame), the indices of the recorded
+	// transmissions not yet marked delivered, oldest first, so a
+	// delivery mark costs O(1) however long the timeline is — including
+	// the marks for transmissions past the cap, which were never
+	// recorded.
+	pending map[pendingKey][]int
+}
+
+type pendingKey struct {
+	end sim.Time
+	f   frame.Frame
 }
 
 // New returns a recorder retaining at most capEvents transmissions
 // (0 = unlimited).
 func New(capEvents int) *Recorder {
-	return &Recorder{cap: capEvents}
+	return &Recorder{cap: capEvents, pending: make(map[pendingKey][]int)}
 }
 
 // Tap records a transmission; wire it to medium.Medium.Tap.
@@ -69,18 +80,30 @@ func (r *Recorder) Tap(src frame.NodeID, f frame.Frame, start, end sim.Time) {
 	if r.cap > 0 && len(r.events) >= r.cap {
 		return
 	}
+	k := pendingKey{end, f}
+	r.pending[k] = append(r.pending[k], len(r.events))
 	r.events = append(r.events, Event{Start: start, End: end, Src: src, Frame: f})
 }
 
 // MarkDelivered marks the most recent matching pending transmission as
 // delivered. Call it when the addressee decodes the frame.
 func (r *Recorder) MarkDelivered(f frame.Frame, end sim.Time) {
-	for i := len(r.events) - 1; i >= 0; i-- {
-		ev := &r.events[i]
-		if ev.End == end && ev.Frame == f && ev.Outcome == OutcomePending {
-			ev.Outcome = OutcomeDelivered
-			return
-		}
+	k := pendingKey{end, f}
+	idxs := r.pending[k]
+	if len(idxs) == 0 {
+		return
+	}
+	// The transmissions in one list share their end, so Finalize turns
+	// a prefix of it lost at once: if the newest is not pending, none is.
+	ev := &r.events[idxs[len(idxs)-1]]
+	if ev.Outcome != OutcomePending {
+		return
+	}
+	ev.Outcome = OutcomeDelivered
+	if len(idxs) == 1 {
+		delete(r.pending, k)
+	} else {
+		r.pending[k] = idxs[:len(idxs)-1]
 	}
 }
 

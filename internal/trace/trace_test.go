@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -225,5 +226,124 @@ func TestRecorderOnLiveSimulation(t *testing.T) {
 		if ev[i].Start < ev[i-1].End {
 			t.Fatalf("overlapping frames in trace:\n%s", rec.Text())
 		}
+	}
+}
+
+// scanRecorder is the reference for Recorder's delivery index: the
+// backward scan over every recorded transmission.
+type scanRecorder struct {
+	events []Event
+	cap    int
+}
+
+func (r *scanRecorder) tap(src frame.NodeID, f frame.Frame, start, end sim.Time) {
+	if r.cap > 0 && len(r.events) >= r.cap {
+		return
+	}
+	r.events = append(r.events, Event{Start: start, End: end, Src: src, Frame: f})
+}
+
+func (r *scanRecorder) markDelivered(f frame.Frame, end sim.Time) {
+	for i := len(r.events) - 1; i >= 0; i-- {
+		ev := &r.events[i]
+		if ev.End == end && ev.Frame == f && ev.Outcome == OutcomePending {
+			ev.Outcome = OutcomeDelivered
+			return
+		}
+	}
+}
+
+// TestRecorderMatchesScanReference drives the indexed Recorder and the
+// backward-scan reference with one random stream of taps, delivery
+// marks and finalizations — frames drawn from a small pool so keys and
+// whole frames collide, duplicate transmissions of one frame with one
+// end time, marks for never-recorded frames, caps reached early — and
+// requires identical timelines after every operation.
+func TestRecorderMatchesScanReference(t *testing.T) {
+	src := rng.New(3)
+	for trial := 0; trial < 200; trial++ {
+		capEvents := src.Intn(40) // 0 = unlimited
+		r, ref := New(capEvents), &scanRecorder{cap: capEvents}
+		type sent struct {
+			f   frame.Frame
+			end sim.Time
+		}
+		var history []sent
+		now := sim.Time(0)
+		for op := 0; op < 150; op++ {
+			switch k := src.Intn(10); {
+			case k < 5:
+				f := rts(frame.NodeID(src.Intn(3)), 9, uint32(src.Intn(3)))
+				if src.Intn(2) == 0 {
+					f.Type = frame.Data
+				}
+				end := now + sim.Time(1+src.Intn(4))
+				if len(history) > 0 && src.Intn(4) == 0 {
+					h := history[src.Intn(len(history))]
+					f, end = h.f, h.end // a duplicate transmission
+				}
+				history = append(history, sent{f, end})
+				r.Tap(f.Src, f, now, end)
+				ref.tap(f.Src, f, now, end)
+			case k < 9 && len(history) > 0:
+				h := history[src.Intn(len(history))]
+				if src.Intn(5) == 0 {
+					h.f.Attempt++ // same key, different frame
+				}
+				r.MarkDelivered(h.f, h.end)
+				ref.markDelivered(h.f, h.end)
+			case k == 9:
+				r.Finalize(now)
+				for i := range ref.events {
+					if ref.events[i].Outcome == OutcomePending && ref.events[i].End <= now {
+						ref.events[i].Outcome = OutcomeLost
+					}
+				}
+			}
+			now += sim.Time(src.Intn(2))
+			if got := r.Events(); !reflect.DeepEqual(got, ref.events) && len(got)+len(ref.events) > 0 {
+				t.Fatalf("trial %d op %d (cap %d): indexed timeline\n%v\nscan reference\n%v",
+					trial, op, capEvents, got, ref.events)
+			}
+		}
+	}
+}
+
+// TestRecorderMarksAfterCapChangeNothing checks that once the cap is
+// reached, delivery marks for the unrecorded transmissions — including
+// ones equal to a recorded frame but with another end time — leave
+// every recorded outcome as it was.
+func TestRecorderMarksAfterCapChangeNothing(t *testing.T) {
+	r := New(3)
+	for i := 0; i < 6; i++ {
+		start := sim.Time(i) * sim.Millisecond
+		r.Tap(1, rts(1, 2, uint32(i%3)), start, start+276*sim.Microsecond)
+	}
+	r.MarkDelivered(rts(1, 2, 1), sim.Millisecond+276*sim.Microsecond)
+	before := r.Events()
+	for i := 3; i < 6; i++ {
+		start := sim.Time(i) * sim.Millisecond
+		r.MarkDelivered(rts(1, 2, uint32(i%3)), start+276*sim.Microsecond)
+	}
+	if got := r.Events(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("marks past the cap changed the timeline:\nbefore %v\nafter  %v", before, got)
+	}
+	if before[1].Outcome != OutcomeDelivered || before[0].Outcome != OutcomePending || before[2].Outcome != OutcomePending {
+		t.Fatalf("outcomes %v %v %v, want pending delivered pending",
+			before[0].Outcome, before[1].Outcome, before[2].Outcome)
+	}
+}
+
+// BenchmarkMarkDeliveredPastCap times a delivery mark once the timeline
+// cap is reached: O(1), not a scan of the recorded frames.
+func BenchmarkMarkDeliveredPastCap(b *testing.B) {
+	r := New(1000)
+	for i := 0; i < 1000; i++ {
+		r.Tap(1, rts(1, 2, uint32(i)), sim.Time(i), sim.Time(i)+1)
+	}
+	f := rts(1, 2, 5000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.MarkDelivered(f, sim.Time(i))
 	}
 }
