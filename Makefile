@@ -11,11 +11,10 @@ vet:
 	$(GO) vet ./...
 
 # detlint: the determinism analyzers over the whole module — cmd/ and
-# the top-level package included, internal/lint itself excluded — with
-# per-package results cached under .dcflint-cache (content-hashed, so a
-# warm run re-analyzes only what an edit could have changed). The
-# second step audits //detlint:allow directives: every suppression must
-# carry a "-- justification" trailer. See DESIGN.md §7 and §12.
+# the top-level package included, internal/lint itself excluded —
+# re-analyzed from source on every run. The second step audits
+# //detlint:allow directives: every suppression must carry a
+# "-- justification" trailer. See DESIGN.md §7 and §12.
 lint:
 	$(GO) run ./cmd/dcflint ./...
 	@$(GO) run ./cmd/dcflint -audit-allows ./... >/dev/null
@@ -121,11 +120,14 @@ obs:
 # RunRandom40V2 cell must stay within 5% of the raw kernel — same env
 # gate and machine-local caveat as the obs guard), then the kill -9
 # smoke script: SIGKILL the real dcfserved mid-sweep, restart it, and
-# byte-compare the artifacts against an uninterrupted run.
+# byte-compare the artifacts against an uninterrupted run. Last, 10 s of
+# fuzzing the spec admission boundary: any spec ToScenario admits must
+# run without panicking.
 serve:
 	$(GO) test -race ./internal/serve
 	DCFGUARD_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'ServeGuardSpecMatchesBench|ServeOverheadGuard' -v .
 	./scripts/serve-smoke.sh
+	$(GO) test -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 10s ./internal/experiment
 
 # Sharded-kernel gate, under the race detector (shard workers cross
 # goroutines by design): the keyed-ordering and window/barrier unit

@@ -11,33 +11,27 @@
 // is checked — simulation internals, cmd/ binaries, and the top-level
 // package alike — except the lint tooling itself (it shells out to the
 // go command and formats host paths, none of which feeds simulation
-// results). -all lifts the scope filter, -analyzers selects a subset of
-// checks. Exits non-zero if any diagnostic survives.
-//
-// v2 surface:
+// results). -all lifts the scope filter, -scope and -exclude narrow or
+// widen it, -analyzers selects a subset of checks and -list prints them.
 //
 //	-format text|json|sarif   output format (sarif uploads to code scanning)
 //	-o file                   write the report to file instead of stdout
-//	-baseline file            suppress findings recorded in file
-//	-write-baseline           rewrite the baseline with current findings
-//	-fix                      apply suggested fixes in place
 //	-audit-allows             list //detlint:allow sites; fail on missing justifications
-//	-cache-dir dir            content-hashed result cache ("" disables)
 //
-// Analysis is parallel across packages, and per-package results are
-// cached under -cache-dir keyed by the SHA-256 of the package's source,
-// its transitive in-module dependencies' keys, and its external
-// dependencies' export data — so a warm run re-analyzes only what an
-// edit could actually have changed.
+// Every run loads the packages, computes interprocedural facts over all
+// of them, analyzes the scoped packages in parallel and renders the
+// findings. Exit status is 0 when clean, 1 when any finding (or, with
+// -audit-allows, any unjustified directive) remains, and 2 on a usage
+// or load error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 
 	"dcfguard/internal/lint"
 )
@@ -45,44 +39,56 @@ import (
 var defaultExclude = "internal/lint"
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command, returning its exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dcflint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		all           = flag.Bool("all", false, "analyze every matched package, ignoring the scope filter")
-		scope         = flag.String("scope", "", "comma-separated import-path fragments a package must contain to be analyzed (empty: all)")
-		exclude       = flag.String("exclude", defaultExclude, "comma-separated import-path fragments that exempt a package")
-		analyzers     = flag.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-		list          = flag.Bool("list", false, "list analyzers and exit")
-		format        = flag.String("format", "text", "output format: text, json, or sarif")
-		out           = flag.String("o", "", "write the report to this file instead of stdout")
-		baseline      = flag.String("baseline", "", "suppress findings recorded in this baseline file")
-		writeBaseline = flag.Bool("write-baseline", false, "rewrite -baseline with the current findings and exit clean")
-		applyFix      = flag.Bool("fix", false, "apply suggested fixes to the source in place")
-		auditAllows   = flag.Bool("audit-allows", false, "list //detlint:allow directives; exit non-zero if any lacks a -- justification")
-		cacheDir      = flag.String("cache-dir", ".dcflint-cache", "directory for the content-hashed result cache (empty disables)")
+		all         = fs.Bool("all", false, "analyze every matched package, ignoring the scope filter")
+		scope       = fs.String("scope", "", "comma-separated import-path fragments a package must contain to be analyzed (empty: all)")
+		exclude     = fs.String("exclude", defaultExclude, "comma-separated import-path fragments that exempt a package")
+		analyzers   = fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
+		list        = fs.Bool("list", false, "list analyzers and exit")
+		format      = fs.String("format", "text", "output format: text, json, or sarif")
+		out         = fs.String("o", "", "write the report to this file instead of stdout")
+		auditAllows = fs.Bool("audit-allows", false, "list //detlint:allow directives; exit non-zero if any lacks a -- justification")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "dcflint: "+format+"\n", args...)
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	run := lint.All()
+	checks := lint.All()
 	if *analyzers != "" {
-		run = lint.ByName(strings.Split(*analyzers, ",")...)
-		if run == nil {
-			fatalf("unknown analyzer in -analyzers=%s", *analyzers)
+		checks = lint.ByName(strings.Split(*analyzers, ",")...)
+		if checks == nil {
+			return fail("unknown analyzer in -analyzers=%s", *analyzers)
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 
 	kept := pkgs
@@ -100,120 +106,36 @@ func main() {
 	}
 
 	if *auditAllows {
-		os.Exit(runAuditAllows(kept))
+		return runAuditAllows(kept, stdout, stderr)
 	}
 
-	diags := analyze(pkgs, kept, run, *cacheDir)
-
-	if *applyFix {
-		diags = applyFixes(pkgs, diags)
-	}
-
-	if *baseline != "" {
-		if *writeBaseline {
-			if err := saveBaseline(*baseline, diags); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Fprintf(os.Stderr, "dcflint: wrote %d finding(s) to baseline %s\n", len(diags), *baseline)
-			return
-		}
-		diags, err = filterBaseline(*baseline, diags)
-		if err != nil {
-			fatalf("%v", err)
-		}
-	}
+	// Facts are computed over every loaded package, so scoped runs still
+	// see callees outside the scope.
+	diags := lint.RunScoped(pkgs, kept, checks)
 
 	report, err := render(*format, diags)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, report, 0o644); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
-	} else {
-		os.Stdout.Write(report)
+	} else if _, err := stdout.Write(report); err != nil {
+		return fail("%v", err)
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "dcflint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "dcflint: %d finding(s)\n", len(diags))
+		return 1
 	}
-}
-
-// analyze runs the analyzers over the kept packages — facts are computed
-// over every loaded package regardless, so scoped runs still see callees
-// outside the scope — consulting the content-hashed cache per package.
-func analyze(all, kept []*lint.Package, run []*lint.Analyzer, cacheDir string) []lint.Diagnostic {
-	c := openCache(cacheDir, all, run)
-
-	var misses []*lint.Package
-	var diags []lint.Diagnostic
-	for _, p := range kept {
-		if cached, ok := c.load(p); ok {
-			diags = append(diags, cached...)
-		} else {
-			misses = append(misses, p)
-		}
-	}
-
-	if len(misses) > 0 {
-		// Facts are only needed when something actually re-analyzes.
-		facts := lint.ComputeFacts(all)
-		perPkg := make([][]lint.Diagnostic, len(misses))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for i, p := range misses {
-			wg.Add(1)
-			go func(i int, p *lint.Package) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				res := lint.AnalyzePackage(p, facts, run)
-				lint.SortDiagnostics(res)
-				perPkg[i] = res
-			}(i, p)
-		}
-		wg.Wait()
-		for i, p := range misses {
-			c.store(p, perPkg[i])
-			diags = append(diags, perPkg[i]...)
-		}
-	}
-
-	lint.SortDiagnostics(diags)
-	return diags
-}
-
-// applyFixes writes every suggested fix to disk and returns the
-// diagnostics that had none (still outstanding).
-func applyFixes(pkgs []*lint.Package, diags []lint.Diagnostic) []lint.Diagnostic {
-	fixed, err := lint.ApplyFixes(pkgs, diags)
-	if err != nil {
-		fatalf("applying fixes: %v", err)
-	}
-	for name, content := range fixed {
-		if err := os.WriteFile(name, content, 0o644); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	applied := 0
-	var rest []lint.Diagnostic
-	for _, d := range diags {
-		if d.Fix != nil {
-			applied++
-		} else {
-			rest = append(rest, d)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "dcflint: applied %d fix(es) to %d file(s)\n", applied, len(fixed))
-	return rest
+	return 0
 }
 
 // runAuditAllows lists every //detlint:allow site in the scoped
 // packages and returns the exit code: non-zero when any directive lacks
 // the "-- justification" trailer. An unexplained suppression is a
 // landmine for the next reader; the make lint gate enforces the trailer.
-func runAuditAllows(pkgs []*lint.Package) int {
+func runAuditAllows(pkgs []*lint.Package, stdout, stderr io.Writer) int {
 	sites := lint.AllowSites(pkgs)
 	bare := 0
 	for _, s := range sites {
@@ -226,18 +148,13 @@ func runAuditAllows(pkgs []*lint.Package) int {
 		if s.Scope == "package" {
 			verb = "allow-package"
 		}
-		fmt.Printf("%s:%d: %s %s -- %s\n", relpath(s.Pos.Filename), s.Pos.Line, verb, strings.Join(s.Names, " "), just)
+		fmt.Fprintf(stdout, "%s:%d: %s %s -- %s\n", relpath(s.Pos.Filename), s.Pos.Line, verb, strings.Join(s.Names, " "), just)
 	}
-	fmt.Fprintf(os.Stderr, "dcflint: %d allow site(s), %d without justification\n", len(sites), bare)
+	fmt.Fprintf(stderr, "dcflint: %d allow site(s), %d without justification\n", len(sites), bare)
 	if bare > 0 {
 		return 1
 	}
 	return 0
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dcflint: "+format+"\n", args...)
-	os.Exit(2)
 }
 
 // inScope reports whether pkgPath contains any of the comma-separated

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
+	"path/filepath"
 	"strings"
 
 	"dcfguard/internal/lint"
@@ -132,68 +132,17 @@ func renderSARIF(diags []lint.Diagnostic) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// A baselineEntry identifies a tolerated pre-existing finding. Line and
-// column are deliberately absent: edits above a finding must not make
-// it "new".
-type baselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-func baselineKey(d lint.Diagnostic) baselineEntry {
-	return baselineEntry{Analyzer: d.Analyzer, File: relpath(d.Pos.Filename), Message: d.Message}
-}
-
-// saveBaseline records the current findings as tolerated.
-func saveBaseline(path string, diags []lint.Diagnostic) error {
-	seen := make(map[baselineEntry]bool)
-	var entries []baselineEntry
-	for _, d := range diags {
-		e := baselineKey(d)
-		if !seen[e] {
-			seen[e] = true
-			entries = append(entries, e)
-		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-	b, err := json.MarshalIndent(entries, "", "\t")
+// relpath renders a position filename relative to the working
+// directory when it lies below it, so reports are stable across
+// checkouts.
+func relpath(name string) string {
+	wd, err := os.Getwd()
 	if err != nil {
-		return err
+		return name
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// filterBaseline drops findings recorded in the baseline file. Matching
-// ignores position within the file, so the baseline survives unrelated
-// edits; a message or file change resurfaces the finding.
-func filterBaseline(path string, diags []lint.Diagnostic) ([]lint.Diagnostic, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
+	rel, err := filepath.Rel(wd, name)
+	if err != nil || rel == "" || rel[0] == '.' && len(rel) > 1 && rel[1] == '.' {
+		return name
 	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(b, &entries); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	tolerated := make(map[baselineEntry]bool, len(entries))
-	for _, e := range entries {
-		tolerated[e] = true
-	}
-	var out []lint.Diagnostic
-	for _, d := range diags {
-		if !tolerated[baselineKey(d)] {
-			out = append(out, d)
-		}
-	}
-	return out, nil
+	return rel
 }

@@ -218,6 +218,10 @@ func parseCLI(args []string) (*cli, error) {
 		return nil, fmt.Errorf("-pcap requires -timeline N")
 	case c.journal != "" && c.seeds == 0:
 		return nil, fmt.Errorf("-journal requires -seeds")
+	case c.misNode < 0:
+		return nil, fmt.Errorf("-mis-node %d: want a sender id, or 0 for none", c.misNode)
+	case c.seeds < 0:
+		return nil, fmt.Errorf("-seeds %d: want a seed count, or 0 for one run", c.seeds)
 	}
 	return c, nil
 }

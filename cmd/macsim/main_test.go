@@ -107,6 +107,13 @@ func TestFlagsToScenario(t *testing.T) {
 		{name: "channel unknown", args: []string{"-channel", "v9"}, wantErr: "unknown channel model"},
 		{name: "pcap without timeline", args: []string{"-pcap", "f.pcap"}, wantErr: "-pcap requires -timeline"},
 		{name: "journal without seeds", args: []string{"-journal", "j"}, wantErr: "-journal requires -seeds"},
+		{name: "negative mis-node", args: []string{"-mis-node", "-2"}, wantErr: "-mis-node -2"},
+		{name: "negative seeds", args: []string{"-seeds", "-3"}, wantErr: "-seeds -3"},
+		{name: "mis-node past senders", args: []string{"-mis-node", "99"}, wantErr: "misbehaving id 99 outside senders 1..8"},
+		{name: "two-flow one sender", args: []string{"-two-flow", "-senders", "1"}, wantErr: "misbehaving id 3 outside senders 1..1"},
+		{name: "random one node", args: []string{"-random", "1"}, wantErr: "nodes 1 (want at least 2)"},
+		{name: "random negative mis", args: []string{"-random", "3", "-mis", "-1"}, wantErr: "mis -1 outside 0..3"},
+		{name: "random mis past nodes", args: []string{"-random", "2", "-mis", "5"}, wantErr: "mis 5 outside 0..2"},
 		{name: "follow without submit", args: []string{"-follow"}, wantErr: "-follow require -submit"},
 		{name: "job and tenant without submit", args: []string{"-tenant", "a", "-job", "b"}, wantErr: "-job, -tenant require -submit"},
 		{name: "submit rejects local-only flags", wantErr: "does not read -cpuprofile, -debug-addr, -diag-csv, -explain, -explain-json, -journal, -memprofile, -metrics, -pcap, -per-node, -progress, -seedtimeout, -series, -timeline, -trace, -trace-events, -trace-out",

@@ -42,22 +42,30 @@ type TopoSpec struct {
 	Mis   int `json:"mis,omitempty"`
 }
 
-// Build returns the topology builder the spec names.
+// Build returns the topology builder the spec names. It mirrors the
+// generators' preconditions (topo.Star, topo.Random) as errors, so a bad
+// spec fails here at admission instead of panicking when a cell runs.
 func (t TopoSpec) Build() (func(uint64) *topo.Topology, error) {
 	switch t.Kind {
 	case "star":
 		if t.Senders < 1 {
 			return nil, fmt.Errorf("experiment: topo star: senders %d", t.Senders)
 		}
-		return StarTopo(t.Senders, t.TwoFlow, t.Misbehaving...), nil
-	case "random":
-		if t.Nodes < 1 {
-			return nil, fmt.Errorf("experiment: topo random: nodes %d", t.Nodes)
+		for _, id := range t.Misbehaving {
+			if id < 1 || id > t.Senders {
+				return nil, fmt.Errorf("experiment: topo star: misbehaving id %d outside senders 1..%d", id, t.Senders)
+			}
 		}
-		return RandomTopo(t.Nodes, t.Mis), nil
-	case "scaled-random":
-		if t.Nodes < 1 {
-			return nil, fmt.Errorf("experiment: topo scaled-random: nodes %d", t.Nodes)
+		return StarTopo(t.Senders, t.TwoFlow, t.Misbehaving...), nil
+	case "random", "scaled-random":
+		if t.Nodes < 2 {
+			return nil, fmt.Errorf("experiment: topo %s: nodes %d (want at least 2)", t.Kind, t.Nodes)
+		}
+		if t.Mis < 0 || t.Mis > t.Nodes {
+			return nil, fmt.Errorf("experiment: topo %s: mis %d outside 0..%d", t.Kind, t.Mis, t.Nodes)
+		}
+		if t.Kind == "random" {
+			return RandomTopo(t.Nodes, t.Mis), nil
 		}
 		return ScaledRandomTopo(t.Nodes, t.Mis), nil
 	default:

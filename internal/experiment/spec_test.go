@@ -202,3 +202,48 @@ func TestConfigSpec(t *testing.T) {
 		t.Fatal("seeds + seed_list accepted")
 	}
 }
+
+// TestTopoSpecBuild: Build rejects every topology the generators would
+// panic on, and every spec it accepts builds without panicking.
+func TestTopoSpecBuild(t *testing.T) {
+	cases := []struct {
+		name string
+		spec TopoSpec
+		want string // "" when the spec must be accepted
+	}{
+		{"star", TopoSpec{Kind: "star", Senders: 8, Misbehaving: []int{3}}, ""},
+		{"star lowest and highest id", TopoSpec{Kind: "star", Senders: 2, Misbehaving: []int{1, 2}}, ""},
+		{"star no senders", TopoSpec{Kind: "star"}, "experiment: topo star: senders 0"},
+		{"star id past senders", TopoSpec{Kind: "star", Senders: 8, Misbehaving: []int{99}}, "experiment: topo star: misbehaving id 99 outside senders 1..8"},
+		{"star id zero", TopoSpec{Kind: "star", Senders: 8, Misbehaving: []int{0}}, "misbehaving id 0 outside"},
+		{"star negative id", TopoSpec{Kind: "star", Senders: 8, Misbehaving: []int{-2}}, "misbehaving id -2 outside"},
+		{"two-flow one sender", TopoSpec{Kind: "star", Senders: 1, TwoFlow: true, Misbehaving: []int{3}}, "misbehaving id 3 outside senders 1..1"},
+		{"two-flow one sender, no misbehaver", TopoSpec{Kind: "star", Senders: 1, TwoFlow: true}, ""},
+		{"random", TopoSpec{Kind: "random", Nodes: 40, Mis: 5}, ""},
+		{"random smallest", TopoSpec{Kind: "random", Nodes: 2, Mis: 2}, ""},
+		{"random no nodes", TopoSpec{Kind: "random"}, "experiment: topo random: nodes 0"},
+		{"random one node", TopoSpec{Kind: "random", Nodes: 1}, "experiment: topo random: nodes 1 (want at least 2)"},
+		{"random negative mis", TopoSpec{Kind: "random", Nodes: 3, Mis: -1}, "experiment: topo random: mis -1 outside 0..3"},
+		{"random mis past nodes", TopoSpec{Kind: "random", Nodes: 2, Mis: 5}, "experiment: topo random: mis 5 outside 0..2"},
+		{"scaled-random", TopoSpec{Kind: "scaled-random", Nodes: 40, Mis: 5}, ""},
+		{"scaled-random one node", TopoSpec{Kind: "scaled-random", Nodes: 1}, "experiment: topo scaled-random: nodes 1"},
+		{"scaled-random mis past nodes", TopoSpec{Kind: "scaled-random", Nodes: 4, Mis: 5}, "experiment: topo scaled-random: mis 5 outside 0..4"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			build, err := c.spec.Build()
+			if c.want != "" {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("err %v, want one containing %q", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := build(1).Validate(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

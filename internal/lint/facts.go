@@ -31,9 +31,9 @@ import (
 //     at guard.go:113") so a report at a call site names the root cause
 //     instead of pointing at an innocent-looking identifier.
 //
-// Facts are keyed by (*types.Func).FullName(), which is stable and
-// serializable, so cached analysis results keyed on package content
-// hashes remain valid across processes.
+// Facts are keyed by (*types.Func).FullName(), so a callee seen through
+// a caller's export-data import and the same function type-checked from
+// source share one entry.
 
 // A Fact is one bottom-up function property.
 type Fact uint8

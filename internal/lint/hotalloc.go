@@ -16,11 +16,6 @@ import (
 // and is flagged at the hand-off. Genuinely cold call sites —
 // one-off setup scheduling — may carry a //detlint:allow hotalloc
 // directive instead of contorting into the trampoline form.
-//
-// The direct form carries a suggested fix where the rewrite is provably
-// behaviour-preserving (see fix.go): a capture-free closure is hoisted
-// to a package-level func, and a closure over a single read-only
-// variable becomes an AtArg/AfterArg trampoline.
 var Hotalloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "flag closures passed to scheduler At/After (directly or through forwarding helpers) where AtArg/AfterArg trampolines exist",
@@ -63,8 +58,8 @@ func runHotalloc(pass *Pass) {
 				return true
 			}
 			for _, arg := range call.Args {
-				if lit, isClosure := arg.(*ast.FuncLit); isClosure {
-					pass.ReportfFix(arg.Pos(), hotallocFix(pass.Pkg, f, call, lit),
+				if _, isClosure := arg.(*ast.FuncLit); isClosure {
+					pass.Reportf(arg.Pos(),
 						"closure literal passed to %s.%s allocates per call; use %s.%sArg with a package-level func",
 						named.Obj().Name(), name, named.Obj().Name(), name)
 				}

@@ -27,14 +27,6 @@ type Package struct {
 	Src   map[string][]byte
 	Types *types.Package
 	Info  *types.Info
-	// Imports lists the package's direct imports, and Exports maps
-	// every import path go list resolved (targets and deps alike) to
-	// its compiled export-data file. dcflint's content-hashed cache
-	// derives package keys from these: a target's key folds in its
-	// module deps' keys recursively and external deps' export data, so
-	// an edit anywhere below a package invalidates it.
-	Imports []string
-	Exports map[string]string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -43,7 +35,6 @@ type listPkg struct {
 	ImportPath string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	DepOnly    bool
 	Standard   bool
 	Error      *struct{ Err string }
@@ -111,8 +102,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			Dir:     lp.Dir,
 			Fset:    fset,
 			Src:     make(map[string][]byte),
-			Imports: lp.Imports,
-			Exports: exports,
 		}
 		for _, name := range lp.GoFiles {
 			full := filepath.Join(lp.Dir, name)

@@ -39,7 +39,7 @@ func runMaporder(pass *Pass) {
 
 			if dst, pure := extractionTarget(pass.Pkg.Info, rs); pure {
 				if !sortedInFunc(pass.Pkg.Info, enclosingFuncBody(stack), dst) {
-					pass.ReportfFix(rs.For, sortAfterRangeFix(pass.Pkg, rs, dst),
+					pass.Reportf(rs.For,
 						"map keys are extracted into %q but never sorted in this function; sort before iterating", dst.Name())
 				}
 				return true
@@ -50,56 +50,6 @@ func runMaporder(pass *Pass) {
 			}
 			return true
 		})
-	}
-}
-
-// sortAfterRangeFix builds the mechanical fix for an extract-but-never-
-// sorted loop: insert `slices.Sort(dst)` on the line after the range
-// statement. Only offered when dst is a plain local identifier of
-// ordered element type — anything fancier (struct fields, custom
-// orderings) needs a human.
-func sortAfterRangeFix(pkg *Package, rs *ast.RangeStmt, dst *types.Var) *SuggestedFix {
-	slice, ok := dst.Type().Underlying().(*types.Slice)
-	if !ok {
-		return nil
-	}
-	b, ok := slice.Elem().Underlying().(*types.Basic)
-	if !ok || b.Info()&(types.IsOrdered) == 0 {
-		return nil
-	}
-	// The insertion names dst bare, so the fix only applies when the
-	// append target was a plain local (not a struct field selector).
-	var isLocal bool
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pkg.Info.Uses[id] == dst {
-			isLocal = true
-		}
-		return true
-	})
-	if !isLocal {
-		return nil
-	}
-	pos := pkg.Fset.Position(rs.End())
-	start := pkg.Fset.Position(rs.Pos())
-	src, ok := pkg.Src[pos.Filename]
-	if !ok {
-		return nil
-	}
-	// Reuse the range statement's own indentation for the inserted line.
-	lineStart := start.Offset - (start.Column - 1)
-	indent := string(src[lineStart:start.Offset])
-	if strings.TrimSpace(indent) != "" {
-		return nil
-	}
-	return &SuggestedFix{
-		Message: fmt.Sprintf("insert slices.Sort(%s) after the extraction loop", dst.Name()),
-		Edits: []TextEdit{{
-			Filename: pos.Filename,
-			Start:    pos.Offset,
-			End:      pos.Offset,
-			NewText:  "\n" + indent + "slices.Sort(" + dst.Name() + ")",
-		}},
-		AddImports: []string{"slices"},
 	}
 }
 
