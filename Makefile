@@ -104,12 +104,14 @@ faults:
 
 # Observability gate, under the race detector (the debug endpoint and
 # shared sweep registries cross goroutines): the obs package suite, the
-# pass-through goldens + crash-ring tests, the obshot analyzer corpus,
-# then the disabled-path wall-time guard against the BENCH.json
-# baseline (min-of-5 RunRandom40 must stay within 2%).
+# frame timeline (an obs sink on the channel trace) with its golden
+# and run tests, the pass-through goldens + crash-ring tests, the
+# obshot analyzer corpus, then the disabled-path wall-time guard
+# against the BENCH.json baseline (min-of-5 RunRandom40 must stay
+# within 2%).
 obs:
-	$(GO) test -race ./internal/obs
-	$(GO) test -race -run 'Observability|GuardDumpCarriesTraceTail|GuardNoTraceNoTail' ./internal/experiment
+	$(GO) test -race ./internal/obs ./internal/trace
+	$(GO) test -race -run 'Observability|GuardDumpCarriesTraceTail|GuardNoTraceNoTail|RunTrace|Timeline' ./internal/experiment
 	$(GO) test -run 'Obshot' ./internal/lint
 	DCFGUARD_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'DisabledObservabilityOverhead' -v .
 

@@ -139,6 +139,12 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 	if err := tp.Validate(); err != nil {
 		return Result{}, fmt.Errorf("experiment: %s: %w", s.Name, err)
 	}
+	// Every shard gets an outbox row per shard, so the count is bounded
+	// before any scheduler is allocated.
+	if s.Shards > len(tp.Positions) {
+		return Result{}, fmt.Errorf("experiment: %s: %d shards exceed the topology's %d nodes",
+			s.Name, s.Shards, len(tp.Positions))
+	}
 
 	// The kernel: one scheduler per shard (one total for serial runs).
 	// Channel model v3 switches every scheduler to keyed event ordering
@@ -244,6 +250,12 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 	// the golden checksums.
 	rt := s.Observe.Build()
 	result.Obs = rt
+	// The frame timeline is one more sink on the channel trace; sharded
+	// runs feed it through the same fan-in as every other sink.
+	if s.TraceEvents > 0 {
+		result.Trace = trace.New(s.TraceEvents)
+		rt = rt.Subscribe(obs.CategorySet(0).Set(obs.CatChannel), result.Trace)
+	}
 	med.Instrument(rt.Reg(), rt.TraceBus())
 	// Sharded tracing: emissions happen on shard goroutines, so every
 	// trace consumer gets a per-shard front buffered through a sim.Fanin
@@ -261,33 +273,6 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 			return obsFanin.Bus(shardOf[i])
 		}
 		return rt.TraceBus()
-	}
-
-	var shardTap *trace.ShardedTap
-	if s.TraceEvents > 0 {
-		rec := trace.New(s.TraceEvents)
-		result.Trace = rec
-		// A delivery fires when the frame ends at the addressee, which
-		// under v3 is the propagation delay after it ends on the air;
-		// the timeline keys transmissions by their on-air end.
-		var lag sim.Time
-		if keyed {
-			lag = medium.V3PropDelay
-		}
-		if shards > 1 {
-			shardTap = trace.NewShardedTap(rec, scheds)
-			med.Tap = func(src frame.NodeID, f frame.Frame, start, end sim.Time) {
-				// The transmit event runs on the transmitter's shard.
-				shardTap.Tap(shardOf[src], src, f, start, end)
-			}
-			med.DeliveryTap = func(f frame.Frame, now sim.Time) {
-				// Delivery fires on the addressee's completion event.
-				shardTap.MarkDelivered(shardOf[f.Dst], f, now-lag)
-			}
-		} else {
-			med.Tap = rec.Tap
-			med.DeliveryTap = func(f frame.Frame, now sim.Time) { rec.MarkDelivered(f, now-lag) }
-		}
 	}
 
 	// Monitors run on whichever shard their node lives on, so this
@@ -426,12 +411,10 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 		grp.Telemetry = NewShardTelemetry(rt.Reg(), shards)
 		grp.Exchange = func() {
 			med.ExchangeShardMessages()
-			// Trace side channels drain at the same barrier (all shards
+			// The trace fan-in drains at the same barrier (all shards
 			// parked): records replay into the real sinks in serial
-			// order. Both flushes are nil-safe no-ops when tracing is
-			// off.
+			// order. A nil-safe no-op when tracing is off.
 			obsFanin.Flush()
-			shardTap.Flush()
 		}
 		kernel = grp
 	}
@@ -446,13 +429,10 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 	// still buffered. Deferred so the flush also runs while a ShardPanic
 	// unwinds toward RunGuarded's recover — the group parks every worker
 	// before re-panicking on the coordinator, so the drain is safe and
-	// the ring tail stays (when, key, seq)-ordered. Both flushes are
-	// nil-safe no-ops when tracing is off, and idempotent.
+	// the ring tail stays (when, key, seq)-ordered. The flush is a
+	// nil-safe no-op when tracing is off, and idempotent.
 	func() {
-		defer func() {
-			obsFanin.Flush()
-			shardTap.Flush()
-		}()
+		defer obsFanin.Flush()
 		kernel.Run(s.Duration)
 	}()
 	if kernel.Interrupted() {

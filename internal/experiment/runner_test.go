@@ -168,6 +168,23 @@ func TestRunTrace(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMoreShardsThanNodes: run bounds the shard count by the
+// topology's node count before it allocates a scheduler; one shard per
+// node is the largest count that runs.
+func TestRunRejectsMoreShardsThanNodes(t *testing.T) {
+	s := DefaultScenario()
+	s.Channel = ChannelV3
+	s.Duration = 10 * sim.Millisecond
+	s.Shards = 10
+	if _, err := Run(s, 1); err == nil || !strings.Contains(err.Error(), "10 shards exceed the topology's 9 nodes") {
+		t.Fatalf("10 shards on a 9-node star: err %v", err)
+	}
+	s.Shards = 9
+	if _, err := Run(s, 1); err != nil {
+		t.Fatalf("9 shards on a 9-node star: %v", err)
+	}
+}
+
 func TestRunNoTraceByDefault(t *testing.T) {
 	s := quick()
 	s.Duration = 100 * sim.Millisecond

@@ -138,6 +138,7 @@ type Scenario struct {
 	// Shards > 1 requires ChannelV3, whose keyed event order makes
 	// results independent of the shard count: a sharded run is
 	// bit-identical to the serial run of the same scenario and seed.
+	// It may not exceed the topology's node count.
 	Shards int
 	// BinSize enables the Figure-8 diagnosis time series when positive.
 	BinSize sim.Time
@@ -159,7 +160,8 @@ type Scenario struct {
 	// in Result.CollusionsDetected / Result.ColludingPairs.
 	Watchdog bool
 	// TraceEvents, when positive, records up to that many frame
-	// transmissions in Result.Trace (text timeline and pcap export).
+	// transmissions in Result.Trace (text timeline and pcap export),
+	// read from the medium's channel trace records.
 	TraceEvents int
 	// Faults configures channel-error and node-churn fault injection
 	// (see internal/faults). The zero value disables everything, and a
@@ -261,9 +263,10 @@ func (s Scenario) Validate() error {
 	if s.Shards > 1 && s.Channel != ChannelV3 {
 		// The sharded kernel's correctness argument (DESIGN.md §11)
 		// needs v3's propagation-delay lookahead and keyed ordering.
-		// Faults, frame tracing, and decision tracing are all
-		// shard-ready: per-shard fault streams, and barrier-merged trace
-		// fan-in (DESIGN.md §12) keep them bit-identical to serial.
+		// Faults and tracing are shard-ready: per-shard fault streams,
+		// and the barrier-merged trace fan-in (DESIGN.md §12), which
+		// also feeds the frame timeline, keep them bit-identical to
+		// serial.
 		return fmt.Errorf("experiment: %s: %d shards require channel model v3, have %v",
 			s.Name, s.Shards, s.Channel)
 	}

@@ -73,6 +73,19 @@ func (t TopoSpec) Build() (func(uint64) *topo.Topology, error) {
 	}
 }
 
+// nodes returns the node count of the topology the spec names: a star
+// has its senders and receiver, plus four with two-flow.
+func (t TopoSpec) nodes() int {
+	if t.Kind != "star" {
+		return t.Nodes
+	}
+	n := t.Senders + 1
+	if t.TwoFlow {
+		n += 4
+	}
+	return n
+}
+
 // GESpec is the wire form of faults.GE.
 type GESpec struct {
 	PGoodBad float64 `json:"p_good_bad"`
@@ -252,6 +265,9 @@ func (sp ScenarioSpec) ToScenario() (Scenario, error) {
 	s.RxRangeM = sp.RxRangeM
 	s.CsRangeM = sp.CsRangeM
 	s.Shards = sp.Shards
+	if n := sp.Topo.nodes(); s.Shards > n {
+		return Scenario{}, fmt.Errorf("experiment: spec %q: %d shards exceed the topology's %d nodes", sp.Name, s.Shards, n)
+	}
 	if sp.QueueDepth != 0 {
 		s.QueueDepth = sp.QueueDepth
 	}

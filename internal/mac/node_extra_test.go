@@ -219,16 +219,17 @@ func TestBasicAccessExchangeSequence(t *testing.T) {
 	fx.med.Attach(1, phys.Point{}, detTestRadio(), sender)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
 
-	var types []frame.Type
-	var attempts []uint8
-	fx.med.Tap = func(_ frame.NodeID, f frame.Frame, _, _ sim.Time) {
-		types = append(types, f.Type)
-		if f.Type == frame.Data {
-			attempts = append(attempts, f.Attempt)
-		}
-	}
+	rec := recordFrames(fx.med)
 	sender.Enqueue(2, 512)
 	fx.sched.Run(sim.Second)
+	var types []frame.Type
+	var attempts []uint8
+	for _, ev := range rec.Events() {
+		types = append(types, ev.Frame.Type)
+		if ev.Frame.Type == frame.Data {
+			attempts = append(attempts, ev.Frame.Attempt)
+		}
+	}
 
 	if succ != 1 {
 		t.Fatalf("successes = %d", succ)
@@ -272,14 +273,15 @@ func TestBasicAccessRetriesOnAckTimeout(t *testing.T) {
 	fx.med.Attach(1, phys.Point{}, detTestRadio(), sender)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), &stubHook{respond: false, suppressAck: true})
 
-	var attempts []uint8
-	fx.med.Tap = func(_ frame.NodeID, f frame.Frame, _, _ sim.Time) {
-		if f.Type == frame.Data {
-			attempts = append(attempts, f.Attempt)
-		}
-	}
+	rec := recordFrames(fx.med)
 	sender.Enqueue(2, 512)
 	fx.sched.Run(sim.Second)
+	var attempts []uint8
+	for _, ev := range rec.Events() {
+		if ev.Frame.Type == frame.Data {
+			attempts = append(attempts, ev.Frame.Attempt)
+		}
+	}
 
 	if drops != 1 {
 		t.Fatalf("drops = %d, want 1", drops)
@@ -326,21 +328,17 @@ func TestEIFSDefersAfterCollision(t *testing.T) {
 		cParams.UseEIFS = useEIFS
 		c := mk(4, phys.Point{Y: 100}, &fixedPolicy{initial: 0}, cParams)
 
-		var cRTS sim.Time
-		med.Tap = func(src frame.NodeID, f frame.Frame, start, _ sim.Time) {
-			if src == 4 && f.Type == frame.RTS && cRTS == 0 {
-				cRTS = start
-			}
-		}
+		rec := recordFrames(med)
 		a.Enqueue(3, 512)
 		b.Enqueue(3, 512)
 		// C's packet arrives during the colliding RTSes.
 		sched.At(difs+2*slot+50*sim.Microsecond, func() { c.Enqueue(3, 512) })
 		sched.Run(sim.Second)
-		if cRTS == 0 {
+		cRTS := rtsStartsOf(rec, 4)
+		if len(cRTS) == 0 {
 			t.Fatal("c never transmitted")
 		}
-		return cRTS
+		return cRTS[0]
 	}
 	without := run(false)
 	with := run(true)

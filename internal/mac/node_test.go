@@ -5,9 +5,11 @@ import (
 
 	"dcfguard/internal/frame"
 	"dcfguard/internal/medium"
+	"dcfguard/internal/obs"
 	"dcfguard/internal/phys"
 	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
+	"dcfguard/internal/trace"
 )
 
 // Airtimes at 2 Mbps for exact-timing assertions.
@@ -83,6 +85,27 @@ type fixture struct {
 	succ  map[frame.NodeID][]sim.Time // OnSendSuccess times per node
 	att   map[frame.NodeID][]int      // attempts per success
 	drops map[frame.NodeID]int
+}
+
+// recordFrames subscribes an uncapped frame timeline to med's channel
+// trace.
+func recordFrames(med *medium.Medium) *trace.Recorder {
+	rec := trace.New(0)
+	bus := &obs.Bus{}
+	bus.Subscribe(obs.CategorySet(0).Set(obs.CatChannel), rec)
+	med.Instrument(nil, bus)
+	return rec
+}
+
+// rtsStartsOf returns the start of every RTS src transmitted.
+func rtsStartsOf(rec *trace.Recorder, src frame.NodeID) []sim.Time {
+	var starts []sim.Time
+	for _, ev := range rec.Events() {
+		if ev.Frame.Type == frame.RTS && ev.Src == src {
+			starts = append(starts, ev.Start)
+		}
+	}
+	return starts
 }
 
 func newFixture() *fixture {
@@ -198,12 +221,13 @@ func TestExchangeFrameSequence(t *testing.T) {
 	sender := fx.addNode(1, phys.Point{}, &fixedPolicy{initial: 0}, nil)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
 
-	var types []frame.Type
-	fx.med.Tap = func(_ frame.NodeID, f frame.Frame, _, _ sim.Time) {
-		types = append(types, f.Type)
-	}
+	rec := recordFrames(fx.med)
 	sender.Enqueue(2, 512)
 	fx.sched.Run(sim.Second)
+	var types []frame.Type
+	for _, ev := range rec.Events() {
+		types = append(types, ev.Frame.Type)
+	}
 	want := []frame.Type{frame.RTS, frame.CTS, frame.Data, frame.Ack}
 	if len(types) != len(want) {
 		t.Fatalf("frame sequence %v, want %v", types, want)
@@ -293,14 +317,15 @@ func TestHookSuppressesCTS(t *testing.T) {
 	hook := &stubHook{respond: false}
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), hook)
 
+	rec := recordFrames(fx.med)
+	sender.Enqueue(2, 512)
+	fx.sched.Run(sim.Second)
 	var ctsSeen bool
-	fx.med.Tap = func(_ frame.NodeID, f frame.Frame, _, _ sim.Time) {
-		if f.Type == frame.CTS {
+	for _, ev := range rec.Events() {
+		if ev.Frame.Type == frame.CTS {
 			ctsSeen = true
 		}
 	}
-	sender.Enqueue(2, 512)
-	fx.sched.Run(sim.Second)
 	if ctsSeen {
 		t.Fatal("CTS transmitted despite hook suppression")
 	}
@@ -476,18 +501,14 @@ func TestBackoffFreezeDuringForeignTx(t *testing.T) {
 	b := fx.addNode(2, phys.Point{X: 100}, &fixedPolicy{initial: 0}, nil)
 	fx.addNode(3, phys.Point{}, NewStandardPolicy(rng.New(2)), nil)
 
-	var rtsStarts []sim.Time
-	fx.med.Tap = func(src frame.NodeID, f frame.Frame, start, _ sim.Time) {
-		if f.Type == frame.RTS && src == 1 {
-			rtsStarts = append(rtsStarts, start)
-		}
-	}
+	rec := recordFrames(fx.med)
 
 	b.Enqueue(3, 512)
 	// A enqueues when B is already transmitting; A's full backoff counts
 	// down only after B's exchange.
 	fx.sched.At(difs+rtsAir/2, func() { a.Enqueue(3, 512) })
 	fx.sched.Run(sim.Second)
+	rtsStarts := rtsStartsOf(rec, 1)
 
 	if len(fx.succ[1]) != 1 || len(fx.succ[2]) != 1 {
 		t.Fatalf("successes: a=%v b=%v", fx.succ[1], fx.succ[2])
@@ -508,12 +529,7 @@ func TestCountdownPartialThenResume(t *testing.T) {
 	b := fx.addNode(2, phys.Point{X: 100}, &fixedPolicy{initial: 0}, nil)
 	fx.addNode(3, phys.Point{}, NewStandardPolicy(rng.New(2)), nil)
 
-	var rtsStarts []sim.Time
-	fx.med.Tap = func(src frame.NodeID, f frame.Frame, start, _ sim.Time) {
-		if f.Type == frame.RTS && src == 1 {
-			rtsStarts = append(rtsStarts, start)
-		}
-	}
+	rec := recordFrames(fx.med)
 
 	a.Enqueue(3, 512)
 	// B enqueues so that its backoff-0 RTS starts exactly when A has
@@ -521,6 +537,7 @@ func TestCountdownPartialThenResume(t *testing.T) {
 	bStart := 2 * slot
 	fx.sched.At(bStart, func() { b.Enqueue(3, 512) })
 	fx.sched.Run(sim.Second)
+	rtsStarts := rtsStartsOf(rec, 1)
 
 	if len(rtsStarts) != 1 {
 		t.Fatalf("a sent %d RTS", len(rtsStarts))

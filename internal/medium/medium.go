@@ -154,11 +154,6 @@ type Medium struct {
 	// Radio/Busy/Transmitting queries hit it instead of the map. IDs
 	// beyond denseLimit fall back to byID.
 	dense []*node
-	// Tap, if non-nil, observes every transmission (for traces/tests).
-	Tap func(src frame.NodeID, f frame.Frame, start, end sim.Time)
-	// DeliveryTap, if non-nil, observes every frame successfully
-	// decoded at its addressee.
-	DeliveryTap func(f frame.Frame, now sim.Time)
 
 	// Propagation cache, rebuilt lazily at the first Transmit after the
 	// last Attach. meanDBm[tx.idx*len(nodes)+obs.idx] is the
@@ -429,13 +424,7 @@ func (m *Medium) Transmit(srcID frame.NodeID, f frame.Frame) sim.Time {
 	}
 	m.obs.transmissions.Inc()
 	if m.obs.chanOn() {
-		m.traceChannel(tx, obs.Record{
-			Time: now, Node: srcID, Peer: f.Dst, Event: "tx",
-			Aux: f.Type.String(), Seq: f.Seq, A: float64(end - now),
-		})
-	}
-	if m.Tap != nil {
-		m.Tap(srcID, f, now, end)
+		m.busAt(tx).Emit(TxRecord(f, now, end))
 	}
 
 	// The transmitter's own carrier goes busy for the duration.
@@ -666,9 +655,6 @@ func (m *Medium) complete(obs *node, a *arrival) {
 		if m.obs.chanOn() {
 			m.traceOutcome("deliver", obs, f, end)
 		}
-		if m.DeliveryTap != nil && f.Dst == obs.id {
-			m.DeliveryTap(f, end)
-		}
 		if obs.listener != nil {
 			obs.listener.FrameReceived(f, end)
 		}
@@ -684,7 +670,7 @@ func (m *Medium) busyStart(n *node, now sim.Time) {
 	n.busyDepth++
 	if n.busyDepth == 1 {
 		if m.obs.chanOn() {
-			m.traceChannel(n, obs.Record{Time: now, Node: n.id, Peer: obs.NoNode, Event: "busy"})
+			m.busAt(n).Emit(obs.Record{Cat: obs.CatChannel, Time: now, Node: n.id, Peer: obs.NoNode, Event: "busy"})
 		}
 		if n.listener != nil {
 			n.listener.CarrierBusy(now)
@@ -699,7 +685,7 @@ func (m *Medium) busyEnd(n *node, now sim.Time) {
 	n.busyDepth--
 	if n.busyDepth == 0 {
 		if m.obs.chanOn() {
-			m.traceChannel(n, obs.Record{Time: now, Node: n.id, Peer: obs.NoNode, Event: "idle"})
+			m.busAt(n).Emit(obs.Record{Cat: obs.CatChannel, Time: now, Node: n.id, Peer: obs.NoNode, Event: "idle"})
 		}
 		if n.listener != nil {
 			n.listener.CarrierIdle(now)

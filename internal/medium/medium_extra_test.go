@@ -3,7 +3,6 @@ package medium
 import (
 	"testing"
 
-	"dcfguard/internal/frame"
 	"dcfguard/internal/phys"
 	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
@@ -27,12 +26,11 @@ func TestThreeWayCollisionAllLost(t *testing.T) {
 
 func TestDeliveryTap(t *testing.T) {
 	sched, med, _ := setup(t, deterministicConfig(), []phys.Point{{X: 0}, {X: 100}, {X: 200}})
-	var taps []frame.Frame
-	med.DeliveryTap = func(f frame.Frame, _ sim.Time) { taps = append(taps, f) }
-
+	log := logFrames(med)
 	f := testRTS(0, 1)
 	med.Transmit(0, f)
 	sched.Run(sim.Second)
+	taps := log.delivered
 	// The tap fires only for the addressee's copy, not the overhearing
 	// node 2's.
 	if len(taps) != 1 || taps[0] != f {
@@ -43,12 +41,11 @@ func TestDeliveryTap(t *testing.T) {
 func TestDeliveryTapSilentOnCollision(t *testing.T) {
 	sched, med, _ := setup(t, deterministicConfig(),
 		[]phys.Point{{X: 0}, {X: 150}, {X: 300}})
-	taps := 0
-	med.DeliveryTap = func(frame.Frame, sim.Time) { taps++ }
+	log := logFrames(med)
 	med.Transmit(0, testRTS(0, 1))
 	med.Transmit(2, testRTS(2, 1))
 	sched.Run(sim.Second)
-	if taps != 0 {
+	if taps := len(log.delivered); taps != 0 {
 		t.Fatalf("delivery tap fired %d times on a collision", taps)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dcfguard/internal/frame"
+	"dcfguard/internal/obs"
 	"dcfguard/internal/phys"
 	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
@@ -66,6 +67,37 @@ func detRadio() phys.Radio {
 
 func testRTS(src, dst frame.NodeID) frame.Frame {
 	return frame.Frame{Type: frame.RTS, Src: src, Dst: dst, Attempt: 1, AssignedBackoff: -1}
+}
+
+// frameLog is a test recorder on the channel trace: every "tx" record,
+// and the frames delivered to their addressee, paired the way
+// trace.Recorder pairs them — by transmitter and on-air end.
+type frameLog struct {
+	txs       []obs.Record
+	delivered []frame.Frame
+}
+
+func (l *frameLog) Emit(r obs.Record) {
+	switch r.Event {
+	case "tx":
+		l.txs = append(l.txs, r)
+	case "deliver":
+		for _, tx := range l.txs {
+			f := TxFrame(tx)
+			if f.Src == r.Peer && tx.Time+sim.Time(tx.A) == sim.Time(r.A) && f.Dst == r.Node {
+				l.delivered = append(l.delivered, f)
+			}
+		}
+	}
+}
+
+// logFrames subscribes a frameLog to med's channel trace.
+func logFrames(med *Medium) *frameLog {
+	l := &frameLog{}
+	bus := &obs.Bus{}
+	bus.Subscribe(obs.CategorySet(0).Set(obs.CatChannel), l)
+	med.Instrument(nil, bus)
+	return l
 }
 
 func setup(t *testing.T, cfg Config, positions []phys.Point) (*sim.Scheduler, *Medium, []*recorder) {
@@ -339,16 +371,15 @@ func TestDuplicateAttachPanics(t *testing.T) {
 
 func TestTap(t *testing.T) {
 	sched, med, _ := setup(t, deterministicConfig(), []phys.Point{{X: 0}, {X: 100}})
-	var taps int
-	med.Tap = func(src frame.NodeID, f frame.Frame, start, end sim.Time) {
-		taps++
-		if src != 0 || start != 0 || end <= start {
+	log := logFrames(med)
+	med.Transmit(0, testRTS(0, 1))
+	sched.Run(sim.Second)
+	for _, r := range log.txs {
+		if src, start, end := r.Node, r.Time, r.Time+sim.Time(r.A); src != 0 || start != 0 || end <= start {
 			t.Errorf("tap got src=%d window [%v, %v]", src, start, end)
 		}
 	}
-	med.Transmit(0, testRTS(0, 1))
-	sched.Run(sim.Second)
-	if taps != 1 {
+	if taps := len(log.txs); taps != 1 {
 		t.Fatalf("tap fired %d times, want 1", taps)
 	}
 }

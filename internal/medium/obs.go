@@ -68,18 +68,49 @@ func (m *Medium) busAt(at *node) *obs.Bus {
 	return m.obs.bus
 }
 
-// traceChannel emits one CatChannel record concerning node at; callers
-// gate on chanOn so record construction stays off the disabled path.
-func (m *Medium) traceChannel(at *node, r obs.Record) {
-	r.Cat = obs.CatChannel
-	m.busAt(at).Emit(r)
-}
-
 // traceOutcome emits the per-observer completion outcome ("deliver",
-// "collision", "self-block", "fault-drop") for a frame ending at end.
+// "collision", "self-block", "fault-drop") for a frame ending at end at
+// the observer. A carries the transmission's on-air end, which under v3
+// is the propagation delay earlier: with Peer (the transmitter, whose
+// own transmissions never overlap) it names the transmission uniquely.
 func (m *Medium) traceOutcome(event string, at *node, f frame.Frame, end sim.Time) {
+	onAir := end
+	if m.cfg.Channel == ChannelV3 {
+		onAir -= V3PropDelay
+	}
 	m.busAt(at).Emit(obs.Record{
 		Cat: obs.CatChannel, Time: end, Node: at.id, Peer: f.Src,
-		Event: event, Aux: f.Type.String(), Seq: f.Seq,
+		Event: event, Aux: f.Type.String(), Seq: f.Seq, A: float64(onAir),
 	})
+}
+
+// TxRecord encodes a transmission of f on [start, end) as a channel
+// "tx" record: Node/Peer are the transmitter and addressee, Aux the
+// frame type, A the airtime, B the attempt number, C the assigned
+// backoff, D the NAV duration in ns and E the payload length. Every
+// field is an integer well inside float64's exact range, so TxFrame
+// inverts it.
+func TxRecord(f frame.Frame, start, end sim.Time) obs.Record {
+	return obs.Record{
+		Cat: obs.CatChannel, Time: start, Node: f.Src, Peer: f.Dst, Event: "tx",
+		Aux: f.Type.String(), Seq: f.Seq, A: float64(end - start),
+		B: float64(f.Attempt), C: float64(f.AssignedBackoff),
+		D: float64(f.Duration), E: float64(f.PayloadBytes),
+	}
+}
+
+// TxFrame decodes the frame a "tx" channel record carries (see
+// TxRecord). An unknown Aux decodes to the invalid zero Type.
+func TxFrame(r obs.Record) frame.Frame {
+	f := frame.Frame{
+		Src: r.Node, Dst: r.Peer, Seq: r.Seq,
+		Attempt: uint8(r.B), AssignedBackoff: int32(r.C),
+		Duration: sim.Time(r.D), PayloadBytes: int(r.E),
+	}
+	for t := frame.RTS; t <= frame.Ack; t++ {
+		if t.String() == r.Aux {
+			f.Type = t
+		}
+	}
+	return f
 }

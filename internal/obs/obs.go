@@ -291,14 +291,16 @@ func (c *Config) Validate() error {
 
 // Runtime is one run's assembled observability state: the registry (nil
 // when metrics are disabled), the trace bus (nil when no category is
-// enabled), and the crash ring (nil when tracing is disabled). All
-// accessors are nil-safe, so a nil *Runtime is "observability off".
+// subscribed), and the crash ring (nil when the Config enables no
+// category). All accessors are nil-safe, so a nil *Runtime is
+// "observability off".
 type Runtime struct {
 	registry *Registry
 	bus      *Bus
 	ring     *RingSink
-	// cats is the enabled category set, kept so sharded runs can build
-	// per-shard front buses with identical subscriptions (shard.go).
+	// cats is the subscribed category set, kept so sharded runs can
+	// build per-shard front buses with identical subscriptions
+	// (shard.go).
 	cats CategorySet
 }
 
@@ -330,6 +332,22 @@ func (c *Config) Build() *Runtime {
 	if rt.registry == nil && rt.bus == nil {
 		return nil
 	}
+	return rt
+}
+
+// Subscribe attaches sink to the categories cats of the run's trace
+// bus and returns the runtime, building a bus-only one when rt is nil.
+// The crash ring and Config.Sinks do not see the added categories, and
+// per-shard front buses built after it mirror them (NewShardFanin).
+func (rt *Runtime) Subscribe(cats CategorySet, sink Sink) *Runtime {
+	if rt == nil {
+		rt = &Runtime{}
+	}
+	if rt.bus == nil {
+		rt.bus = &Bus{}
+	}
+	rt.cats |= cats
+	rt.bus.Subscribe(cats, sink)
 	return rt
 }
 

@@ -141,6 +141,37 @@ func TestConfigBuild(t *testing.T) {
 	}
 }
 
+// TestRuntimeSubscribe: Subscribe builds a bus-only runtime from nil,
+// adds a sink to an existing runtime without feeding the added category
+// to the ring or Config.Sinks, and records the category for the
+// per-shard front buses built afterwards.
+func TestRuntimeSubscribe(t *testing.T) {
+	chanOnly := CategorySet(0).Set(CatChannel)
+	var none *Runtime
+	sink := &collectSink{}
+	rt := none.Subscribe(chanOnly, sink)
+	if rt == nil || rt.Reg() != nil || rt.TraceTail() != nil || !rt.TraceBus().Enabled(CatChannel) {
+		t.Fatalf("bus-only runtime wrong: %+v", rt)
+	}
+
+	user := &collectSink{}
+	rt = (&Config{Categories: CategorySet(0).Set(CatMACState), Sinks: []Sink{user}}).Build()
+	if got := rt.Subscribe(chanOnly, sink); got != rt {
+		t.Fatal("Subscribe on a runtime returned another runtime")
+	}
+	if want := chanOnly.Set(CatMACState); rt.cats != want {
+		t.Errorf("shard fronts would mirror %v, want %v", rt.cats, want)
+	}
+	rt.TraceBus().Emit(Record{Cat: CatChannel, Seq: 1})
+	rt.TraceBus().Emit(Record{Cat: CatMACState, Seq: 2})
+	if len(sink.recs) != 1 || sink.recs[0].Seq != 1 {
+		t.Errorf("subscribed sink got %v, want the channel record", sink.recs)
+	}
+	if len(user.recs) != 1 || user.recs[0].Seq != 2 || len(rt.TraceTail()) != 1 {
+		t.Errorf("config sink got %v and ring %v, want the mac record only", user.recs, rt.TraceTail())
+	}
+}
+
 func TestCounterGaugeHistogramNilSafe(t *testing.T) {
 	var c *Counter
 	c.Inc()

@@ -235,6 +235,12 @@ func (s *Server) retryAfter(load int) time.Duration {
 // enqueue. Resubmitting an identical spec is idempotent (the current
 // status returns); a different spec under a known name is ErrConflict.
 func (s *Server) Submit(js JobSpec) (JobStatus, error) {
+	// A job journals metrics only, so every cell would build a frame
+	// timeline and drop it. Checked here rather than in buildJob so
+	// that recovery still loads a job journaled before the check.
+	if js.Scenario.TraceEvents > 0 {
+		return JobStatus{}, fmt.Errorf("serve: trace_events is a local-run field (macsim -timeline); a job keeps no frame timeline")
+	}
 	nj, err := s.buildJob(js)
 	if err != nil {
 		return JobStatus{}, err

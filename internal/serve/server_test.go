@@ -220,6 +220,22 @@ func TestServeSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestServeRejectsTraceEvents: a frame timeline is in-memory state a
+// job never journals, so a spec asking for one is refused at admission
+// and leaves nothing on disk.
+func TestServeRejectsTraceEvents(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	js := testSpec("timeline", 1)
+	js.Scenario.TraceEvents = 50
+	_, err := s.Submit(js)
+	if err == nil || !strings.Contains(err.Error(), "trace_events is a local-run field") {
+		t.Fatalf("trace_events spec: err %v, want a local-run field error", err)
+	}
+	if names, _ := s.st.listJobs(); len(names) != 0 {
+		t.Fatalf("rejected job left disk state behind: %v", names)
+	}
+}
+
 // manualTimer records scheduled backoffs and fires them only on
 // demand, so retry scheduling is exercised without real sleeps and the
 // recorded delays can be asserted against the pure policy.

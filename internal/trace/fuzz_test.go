@@ -13,9 +13,9 @@ import (
 func FuzzReadPcap(f *testing.F) {
 	// Seed with a valid two-frame capture.
 	r := New(0)
-	r.Tap(1, frame.Frame{Type: frame.RTS, Src: 1, Dst: 2, Seq: 1, Attempt: 1},
+	r.tap(frame.Frame{Type: frame.RTS, Src: 1, Dst: 2, Seq: 1, Attempt: 1},
 		0, 276*sim.Microsecond)
-	r.Tap(2, frame.Frame{Type: frame.CTS, Src: 2, Dst: 1, Seq: 1, AssignedBackoff: 9},
+	r.tap(frame.Frame{Type: frame.CTS, Src: 2, Dst: 1, Seq: 1, AssignedBackoff: 9},
 		sim.Millisecond, sim.Millisecond+256*sim.Microsecond)
 	var buf bytes.Buffer
 	if err := r.WritePcap(&buf); err != nil {
@@ -34,7 +34,7 @@ func FuzzReadPcap(f *testing.F) {
 		// the same frames.
 		rec := New(0)
 		for _, ev := range events {
-			rec.Tap(ev.Src, ev.Frame, ev.Start, ev.Start+sim.Microsecond)
+			rec.tap(ev.Frame, ev.Start, ev.Start+sim.Microsecond)
 		}
 		var out bytes.Buffer
 		if err := rec.WritePcap(&out); err != nil {

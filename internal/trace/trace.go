@@ -1,7 +1,8 @@
 // Package trace records frame-level timelines of a simulation run and
 // renders them for humans (aligned text) and tools (pcap export via
-// Writer). A Recorder plugs into medium.Medium's Tap; it costs nothing
-// when not attached.
+// WritePcap). A Recorder is an obs.Sink on the channel trace category:
+// it reads the medium's "tx" and "deliver" records, so it costs nothing
+// when not subscribed.
 package trace
 
 import (
@@ -10,6 +11,8 @@ import (
 	"strings"
 
 	"dcfguard/internal/frame"
+	"dcfguard/internal/medium"
+	"dcfguard/internal/obs"
 	"dcfguard/internal/sim"
 )
 
@@ -49,61 +52,64 @@ func (o Outcome) String() string {
 	}
 }
 
-// Recorder accumulates transmissions. Attach Tap to the medium's Tap and
-// MarkDelivered to a delivery observation point (e.g. a stats collector
-// or mac callback); call Finalize before rendering.
+// Recorder accumulates transmissions. Subscribe it to obs.CatChannel
+// on the run's trace bus; call Finalize before rendering.
 type Recorder struct {
 	events []Event
 	// cap bounds memory; 0 means unlimited.
 	cap int
-	// pending lists, per (end, frame), the indices of the recorded
-	// transmissions not yet marked delivered, oldest first, so a
-	// delivery mark costs O(1) however long the timeline is — including
-	// the marks for transmissions past the cap, which were never
-	// recorded.
-	pending map[pendingKey][]int
+	// pending indexes the recorded transmissions not yet marked
+	// delivered by (transmitter, on-air end). A node's transmissions
+	// never overlap, so the key names one transmission, and a delivery
+	// mark costs O(1) however long the timeline is — including the
+	// marks for transmissions past the cap, which were never recorded.
+	pending map[pendingKey]int
 }
 
 type pendingKey struct {
+	src frame.NodeID
 	end sim.Time
-	f   frame.Frame
 }
 
 // New returns a recorder retaining at most capEvents transmissions
 // (0 = unlimited).
 func New(capEvents int) *Recorder {
-	return &Recorder{cap: capEvents, pending: make(map[pendingKey][]int)}
+	return &Recorder{cap: capEvents, pending: make(map[pendingKey]int)}
 }
 
-// Tap records a transmission; wire it to medium.Medium.Tap.
-func (r *Recorder) Tap(src frame.NodeID, f frame.Frame, start, end sim.Time) {
+// Emit records a channel "tx" record as a transmission, and marks one
+// delivered when its addressee's "deliver" record arrives. Other
+// records are ignored.
+func (r *Recorder) Emit(rec obs.Record) {
+	switch rec.Event {
+	case "tx":
+		r.tap(medium.TxFrame(rec), rec.Time, rec.Time+sim.Time(rec.A))
+	case "deliver":
+		r.markDelivered(rec.Peer, sim.Time(rec.A), rec.Node)
+	}
+}
+
+// tap records a transmission of f on [start, end).
+func (r *Recorder) tap(f frame.Frame, start, end sim.Time) {
 	if r.cap > 0 && len(r.events) >= r.cap {
 		return
 	}
-	k := pendingKey{end, f}
-	r.pending[k] = append(r.pending[k], len(r.events))
-	r.events = append(r.events, Event{Start: start, End: end, Src: src, Frame: f})
+	r.pending[pendingKey{f.Src, end}] = len(r.events)
+	r.events = append(r.events, Event{Start: start, End: end, Src: f.Src, Frame: f})
 }
 
-// MarkDelivered marks the most recent matching pending transmission as
-// delivered. Call it when the addressee decodes the frame.
-func (r *Recorder) MarkDelivered(f frame.Frame, end sim.Time) {
-	k := pendingKey{end, f}
-	idxs := r.pending[k]
-	if len(idxs) == 0 {
+// markDelivered marks src's transmission ending on air at end as
+// delivered, if it was recorded, is still pending, and at is its
+// addressee.
+func (r *Recorder) markDelivered(src frame.NodeID, end sim.Time, at frame.NodeID) {
+	k := pendingKey{src, end}
+	i, ok := r.pending[k]
+	if !ok || r.events[i].Frame.Dst != at {
 		return
 	}
-	// The transmissions in one list share their end, so Finalize turns
-	// a prefix of it lost at once: if the newest is not pending, none is.
-	ev := &r.events[idxs[len(idxs)-1]]
-	if ev.Outcome != OutcomePending {
-		return
-	}
-	ev.Outcome = OutcomeDelivered
-	if len(idxs) == 1 {
-		delete(r.pending, k)
-	} else {
-		r.pending[k] = idxs[:len(idxs)-1]
+	delete(r.pending, k)
+	if r.events[i].Outcome == OutcomePending {
+		r.events[i].Outcome = OutcomeDelivered
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"dcfguard/internal/frame"
 	"dcfguard/internal/mac"
 	"dcfguard/internal/medium"
+	"dcfguard/internal/obs"
 	"dcfguard/internal/phys"
 	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
@@ -18,14 +19,36 @@ func rts(src, dst frame.NodeID, seq uint32) frame.Frame {
 	return frame.Frame{Type: frame.RTS, Src: src, Dst: dst, Seq: seq, Attempt: 1, AssignedBackoff: -1}
 }
 
+// tx feeds r the channel record of a transmission of f on [start, end).
+func tx(r *Recorder, f frame.Frame, start, end sim.Time) {
+	r.Emit(medium.TxRecord(f, start, end))
+}
+
+// outcome builds the channel record of what node at made of the
+// transmission of f that ended on air at end. The record's time, when
+// the frame ended at the observer, lags the on-air end here to show
+// that the recorder keys on A alone.
+func outcome(event string, f frame.Frame, end sim.Time, at frame.NodeID) obs.Record {
+	return obs.Record{
+		Cat: obs.CatChannel, Time: end + 10*sim.Microsecond, Node: at, Peer: f.Src,
+		Event: event, Aux: f.Type.String(), Seq: f.Seq, A: float64(end),
+	}
+}
+
+// deliver feeds r the addressee's delivery record for the transmission
+// of f that ended on air at end.
+func deliver(r *Recorder, f frame.Frame, end sim.Time) {
+	r.Emit(outcome("deliver", f, end, f.Dst))
+}
+
 func TestRecorderTapAndOutcomes(t *testing.T) {
 	r := New(0)
 	f := rts(1, 2, 7)
-	r.Tap(1, f, 0, 276*sim.Microsecond)
+	tx(r, f, 0, 276*sim.Microsecond)
 	g := rts(3, 2, 9)
-	r.Tap(3, g, sim.Millisecond, sim.Millisecond+276*sim.Microsecond)
+	tx(r, g, sim.Millisecond, sim.Millisecond+276*sim.Microsecond)
 
-	r.MarkDelivered(f, 276*sim.Microsecond)
+	deliver(r, f, 276*sim.Microsecond)
 	r.Finalize(sim.Second)
 
 	ev := r.Events()
@@ -43,7 +66,7 @@ func TestRecorderTapAndOutcomes(t *testing.T) {
 func TestRecorderFinalizeSkipsInFlight(t *testing.T) {
 	r := New(0)
 	f := rts(1, 2, 7)
-	r.Tap(1, f, 0, sim.Millisecond)
+	tx(r, f, 0, sim.Millisecond)
 	r.Finalize(500 * sim.Microsecond) // frame still on the air
 	if got := r.Events()[0].Outcome; got != OutcomePending {
 		t.Fatalf("in-flight frame outcome = %v, want pending", got)
@@ -53,7 +76,7 @@ func TestRecorderFinalizeSkipsInFlight(t *testing.T) {
 func TestRecorderCap(t *testing.T) {
 	r := New(2)
 	for i := 0; i < 5; i++ {
-		r.Tap(1, rts(1, 2, uint32(i)), sim.Time(i)*sim.Millisecond, sim.Time(i)*sim.Millisecond+1)
+		tx(r, rts(1, 2, uint32(i)), sim.Time(i)*sim.Millisecond, sim.Time(i)*sim.Millisecond+1)
 	}
 	if r.Len() != 2 {
 		t.Fatalf("capped recorder holds %d events, want 2", r.Len())
@@ -63,8 +86,8 @@ func TestRecorderCap(t *testing.T) {
 func TestTextRendering(t *testing.T) {
 	r := New(0)
 	f := rts(1, 2, 7)
-	r.Tap(1, f, 0, 276*sim.Microsecond)
-	r.MarkDelivered(f, 276*sim.Microsecond)
+	tx(r, f, 0, 276*sim.Microsecond)
+	deliver(r, f, 276*sim.Microsecond)
 	out := r.Text()
 	for _, want := range []string{"RTS 1->2", "seq=7", "ok"} {
 		if !strings.Contains(out, want) {
@@ -83,8 +106,8 @@ func TestSummarize(t *testing.T) {
 	}
 	for i, f := range frames {
 		end := sim.Time(i+1) * sim.Millisecond
-		r.Tap(f.Src, f, sim.Time(i)*sim.Millisecond, end)
-		r.MarkDelivered(f, end)
+		tx(r, f, sim.Time(i)*sim.Millisecond, end)
+		deliver(r, f, end)
 	}
 	r.Finalize(sim.Second)
 	s := r.Summarize()
@@ -121,8 +144,8 @@ func (*writeErr) Error() string { return "write failed" }
 
 func TestWriteTextPropagatesErrors(t *testing.T) {
 	r := New(0)
-	r.Tap(1, rts(1, 2, 1), 0, sim.Millisecond)
-	r.Tap(1, rts(1, 2, 2), 2*sim.Millisecond, 3*sim.Millisecond)
+	tx(r, rts(1, 2, 1), 0, sim.Millisecond)
+	tx(r, rts(1, 2, 2), 2*sim.Millisecond, 3*sim.Millisecond)
 	if err := r.WriteText(&failingWriter{}); err == nil {
 		t.Fatal("write error swallowed")
 	}
@@ -130,7 +153,7 @@ func TestWriteTextPropagatesErrors(t *testing.T) {
 
 func TestWritePcapPropagatesErrors(t *testing.T) {
 	r := New(0)
-	r.Tap(1, rts(1, 2, 1), 0, sim.Millisecond)
+	tx(r, rts(1, 2, 1), 0, sim.Millisecond)
 	if err := r.WritePcap(&failingWriter{}); err == nil {
 		t.Fatal("pcap write error swallowed")
 	}
@@ -145,7 +168,7 @@ func TestPcapRoundTrip(t *testing.T) {
 	}
 	for i, f := range frames {
 		start := sim.Time(i) * 3 * sim.Millisecond
-		r.Tap(f.Src, f, start, start+sim.Millisecond)
+		tx(r, f, start, start+sim.Millisecond)
 	}
 	var buf bytes.Buffer
 	if err := r.WritePcap(&buf); err != nil {
@@ -200,7 +223,9 @@ func TestRecorderOnLiveSimulation(t *testing.T) {
 	model.SigmaDB = 0
 	med := medium.New(&sched, medium.Config{Model: model}, rng.New(1))
 	rec := New(0)
-	med.Tap = rec.Tap
+	bus := &obs.Bus{}
+	bus.Subscribe(obs.CategorySet(0).Set(obs.CatChannel), rec)
+	med.Instrument(nil, bus)
 
 	radio := phys.CalibratedRadio(model, 24.5, 250, 0.5, 550, 0.5, 2_000_000)
 	mkNode := func(id frame.NodeID, x float64) *mac.Node {
@@ -236,29 +261,35 @@ type scanRecorder struct {
 	cap    int
 }
 
-func (r *scanRecorder) tap(src frame.NodeID, f frame.Frame, start, end sim.Time) {
+func (r *scanRecorder) tap(f frame.Frame, start, end sim.Time) {
 	if r.cap > 0 && len(r.events) >= r.cap {
 		return
 	}
-	r.events = append(r.events, Event{Start: start, End: end, Src: src, Frame: f})
+	r.events = append(r.events, Event{Start: start, End: end, Src: f.Src, Frame: f})
 }
 
-func (r *scanRecorder) markDelivered(f frame.Frame, end sim.Time) {
+// markDelivered marks the pending transmission by src that ended on air
+// at end, when at is its addressee.
+func (r *scanRecorder) markDelivered(src frame.NodeID, end sim.Time, at frame.NodeID) {
 	for i := len(r.events) - 1; i >= 0; i-- {
 		ev := &r.events[i]
-		if ev.End == end && ev.Frame == f && ev.Outcome == OutcomePending {
+		if ev.Src == src && ev.End == end && ev.Frame.Dst == at && ev.Outcome == OutcomePending {
 			ev.Outcome = OutcomeDelivered
 			return
 		}
 	}
 }
 
-// TestRecorderMatchesScanReference drives the indexed Recorder and the
-// backward-scan reference with one random stream of taps, delivery
-// marks and finalizations — frames drawn from a small pool so keys and
-// whole frames collide, duplicate transmissions of one frame with one
-// end time, marks for never-recorded frames, caps reached early — and
-// requires identical timelines after every operation.
+// TestRecorderMatchesScanReference feeds the indexed Recorder channel
+// records, and the backward-scan reference the same operations, from
+// one random stream: transmissions from three nodes, none overlapping
+// its own transmitter's previous one (the medium forbids it), with
+// frames drawn from a small pool so whole frames and end times repeat
+// across transmitters; deliveries named by (transmitter, on-air end)
+// at the addressee, at an overhearing node, or for a transmission
+// never made, some repeated and some after the cap; the other outcome
+// and carrier records, which change nothing; and finalizations. The
+// two timelines must match after every operation.
 func TestRecorderMatchesScanReference(t *testing.T) {
 	src := rng.New(3)
 	for trial := 0; trial < 200; trial++ {
@@ -269,30 +300,39 @@ func TestRecorderMatchesScanReference(t *testing.T) {
 			end sim.Time
 		}
 		var history []sent
+		var txUntil [3]sim.Time
 		now := sim.Time(0)
 		for op := 0; op < 150; op++ {
-			switch k := src.Intn(10); {
+			switch k := src.Intn(12); {
 			case k < 5:
-				f := rts(frame.NodeID(src.Intn(3)), 9, uint32(src.Intn(3)))
+				f := rts(frame.NodeID(src.Intn(3)), frame.NodeID(8+src.Intn(2)), uint32(src.Intn(3)))
 				if src.Intn(2) == 0 {
 					f.Type = frame.Data
 				}
-				end := now + sim.Time(1+src.Intn(4))
-				if len(history) > 0 && src.Intn(4) == 0 {
-					h := history[src.Intn(len(history))]
-					f, end = h.f, h.end // a duplicate transmission
+				if txUntil[f.Src] > now {
+					break // still on the air
 				}
+				end := now + sim.Time(1+src.Intn(4))
+				txUntil[f.Src] = end
 				history = append(history, sent{f, end})
-				r.Tap(f.Src, f, now, end)
-				ref.tap(f.Src, f, now, end)
+				tx(r, f, now, end)
+				ref.tap(f, now, end)
 			case k < 9 && len(history) > 0:
 				h := history[src.Intn(len(history))]
-				if src.Intn(5) == 0 {
-					h.f.Attempt++ // same key, different frame
+				at := h.f.Dst
+				switch src.Intn(6) {
+				case 0:
+					at = 17 - at // an overheard copy (8 <-> 9)
+				case 1:
+					h.end++ // a transmission never made
 				}
-				r.MarkDelivered(h.f, h.end)
-				ref.markDelivered(h.f, h.end)
-			case k == 9:
+				r.Emit(outcome("deliver", h.f, h.end, at))
+				ref.markDelivered(h.f.Src, h.end, at)
+			case k < 11 && len(history) > 0:
+				h := history[src.Intn(len(history))]
+				event := []string{"collision", "self-block", "fault-drop", "busy", "idle"}[src.Intn(5)]
+				r.Emit(outcome(event, h.f, h.end, h.f.Dst))
+			case k == 11:
 				r.Finalize(now)
 				for i := range ref.events {
 					if ref.events[i].Outcome == OutcomePending && ref.events[i].End <= now {
@@ -311,19 +351,19 @@ func TestRecorderMatchesScanReference(t *testing.T) {
 
 // TestRecorderMarksAfterCapChangeNothing checks that once the cap is
 // reached, delivery marks for the unrecorded transmissions — including
-// ones equal to a recorded frame but with another end time — leave
-// every recorded outcome as it was.
+// ones of a frame equal to a recorded one — leave every recorded
+// outcome as it was.
 func TestRecorderMarksAfterCapChangeNothing(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 6; i++ {
 		start := sim.Time(i) * sim.Millisecond
-		r.Tap(1, rts(1, 2, uint32(i%3)), start, start+276*sim.Microsecond)
+		tx(r, rts(1, 2, uint32(i%3)), start, start+276*sim.Microsecond)
 	}
-	r.MarkDelivered(rts(1, 2, 1), sim.Millisecond+276*sim.Microsecond)
+	deliver(r, rts(1, 2, 1), sim.Millisecond+276*sim.Microsecond)
 	before := r.Events()
 	for i := 3; i < 6; i++ {
 		start := sim.Time(i) * sim.Millisecond
-		r.MarkDelivered(rts(1, 2, uint32(i%3)), start+276*sim.Microsecond)
+		deliver(r, rts(1, 2, uint32(i%3)), start+276*sim.Microsecond)
 	}
 	if got := r.Events(); !reflect.DeepEqual(got, before) {
 		t.Fatalf("marks past the cap changed the timeline:\nbefore %v\nafter  %v", before, got)
@@ -334,16 +374,17 @@ func TestRecorderMarksAfterCapChangeNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkMarkDeliveredPastCap times a delivery mark once the timeline
-// cap is reached: O(1), not a scan of the recorded frames.
+// BenchmarkMarkDeliveredPastCap times a delivery record once the
+// timeline cap is reached: O(1), not a scan of the recorded frames.
 func BenchmarkMarkDeliveredPastCap(b *testing.B) {
 	r := New(1000)
 	for i := 0; i < 1000; i++ {
-		r.Tap(1, rts(1, 2, uint32(i)), sim.Time(i), sim.Time(i)+1)
+		tx(r, rts(1, 2, uint32(i)), sim.Time(i), sim.Time(i)+1)
 	}
-	f := rts(1, 2, 5000)
+	rec := outcome("deliver", rts(1, 2, 5000), 0, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.MarkDelivered(f, sim.Time(i))
+		rec.A = float64(5000 + i)
+		r.Emit(rec)
 	}
 }
