@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint audit race idle-history world-build bench-module bench bench-quick bench-full bench-large bench-guard check check-v2 faults obs serve shards clean
+.PHONY: all build test vet lint audit race idle-history world-build bench-module bench bench-quick bench-full bench-large bench-guard bench-paper check check-v2 faults obs serve shards clean
 
 all: build
 
@@ -74,6 +74,22 @@ bench-full:
 # v2 at 200/400 nodes plus the v1 400-node baseline).
 bench-large:
 	$(GO) test -run '^$$' -bench 'RunRandom[24]00' -benchtime=1x -benchmem .
+
+# The end-to-end number: wall time of every figure at the paper's own
+# settings (30 seeds x 50 s per point, default channel), with the
+# host's CPU count and GOMAXPROCS, into results/bench-paper.txt; the
+# tables go to results/bench-paper.log. About half an hour on a 2-CPU
+# host, so it is not part of check.
+bench-paper:
+	@mkdir -p results
+	@bin=$$(mktemp -d)/figures && $(GO) build -o $$bin ./cmd/figures && \
+	start=$$(date +%s.%N) && $$bin -fig all > results/bench-paper.log && end=$$(date +%s.%N) && \
+	rm -r $$(dirname $$bin) && \
+	{ echo "command     figures -fig all (30 seeds x 50 s per point, channel v2)"; \
+	  awk -v a=$$start -v b=$$end 'BEGIN { printf "wall_s      %.1f\n", b - a }'; \
+	  echo "nproc       $$(nproc)"; \
+	  echo "GOMAXPROCS  $${GOMAXPROCS:-$$(nproc) (default)}"; \
+	  echo "go          $$($(GO) env GOVERSION)"; } | tee results/bench-paper.txt
 
 # Kernel-throughput guard: RunRandom40V2 and RunRandom400 must sustain
 # ≥95% of the events/sec recorded in BENCH.json (same machine-local

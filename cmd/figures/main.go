@@ -123,6 +123,7 @@ func emitDiagTrail(cfg dcfguard.Config, path string) error {
 	s.Name = "diag-trail-pm80"
 	s.PM = 80
 	s.Duration = cfg.Duration
+	s.Channel = cfg.Channel
 	sink := dcfguard.NewObsDiagnosisCSV(path)
 	s.Observe = &dcfguard.ObsConfig{
 		Categories: dcfguard.ObsCategorySet(0).Set(dcfguard.ObsCatDiagnosis),

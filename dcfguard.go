@@ -36,6 +36,10 @@
 //	table, err := dcfguard.Fig4(dcfguard.DefaultConfig())
 //	fmt.Print(table.Render())
 //
+// Each figure generator lists all its (scenario, seed) runs before it
+// starts any, then runs them together on one GOMAXPROCS worker pool, so
+// a figure keeps every CPU busy until its last run.
+//
 // Runs are pure functions of (Scenario, seed): identical inputs yield
 // identical outputs on every platform.
 package dcfguard
@@ -244,8 +248,10 @@ func QuickConfig() Config { return experiment.QuickConfig() }
 // Run executes a scenario once; it is a pure function of (s, seed).
 func Run(s Scenario, seed uint64) (Result, error) { return experiment.Run(s, seed) }
 
-// RunSeeds executes a scenario once per seed (in parallel) and
-// aggregates the results.
+// RunSeeds executes a scenario once per seed on the figure
+// generators' worker pool (GOMAXPROCS workers) and aggregates the
+// results in seed order. A failed run comes back as
+// "experiment: <name> seed <n>: <cause>" for the first failing seed.
 func RunSeeds(s Scenario, seeds []uint64) (Aggregate, error) {
 	return experiment.RunSeeds(s, seeds)
 }
@@ -254,8 +260,9 @@ func RunSeeds(s Scenario, seeds []uint64) (Aggregate, error) {
 // data point.
 func Seeds(n int) []uint64 { return experiment.Seeds(n) }
 
-// RunAll executes the scenario once per seed and returns the raw
-// per-run results for external analysis.
+// RunAll executes the scenario once per seed on the same pool as
+// RunSeeds and returns the raw per-run results, in seed order, for
+// external analysis.
 func RunAll(s Scenario, seeds []uint64) ([]Result, error) { return experiment.RunAll(s, seeds) }
 
 // ResultsCSV renders raw per-run results as CSV.

@@ -12,6 +12,21 @@ import (
 // against this package's analytical prediction. A healthy DCF substrate
 // keeps the ratio near 1 at every size.
 func ValidateAgainstModel(cfg experiment.Config) (*experiment.Table, error) {
+	p := experiment.NewPlan(cfg.Seeds)
+	for _, n := range cfg.NetworkSizes {
+		s := experiment.DefaultScenario()
+		s.Name = fmt.Sprintf("validate-%d", n)
+		s.Duration = cfg.Duration
+		s.Topo = experiment.StarTopo(n, false)
+		s.Protocol = experiment.Protocol80211
+		s.Channel = cfg.Channel
+		p.Add(s)
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	t := &experiment.Table{
 		Title: "Validation: simulated 802.11 saturation throughput vs Bianchi-style model (Kbps/node)",
 		Columns: []string{"senders", "model", "simulated", "ratio",
@@ -24,17 +39,7 @@ func ValidateAgainstModel(cfg experiment.Config) (*experiment.Table, error) {
 		m := Model{N: n, MAC: experiment.DefaultScenario().MAC,
 			PayloadBytes: 512, BitRate: 2_000_000}
 		predicted := m.PerNodeKbps()
-
-		s := experiment.DefaultScenario()
-		s.Name = fmt.Sprintf("validate-%d", n)
-		s.Duration = cfg.Duration
-		s.Topo = experiment.StarTopo(n, false)
-		s.Protocol = experiment.Protocol80211
-		agg, err := experiment.RunSeeds(s, cfg.Seeds)
-		if err != nil {
-			return nil, err
-		}
-		measured := agg.AvgHonestKbps.Mean
+		measured := out.Next().AvgHonestKbps.Mean
 		t.AddRow(strconv.Itoa(n),
 			fmt.Sprintf("%.1f", predicted),
 			fmt.Sprintf("%.1f", measured),

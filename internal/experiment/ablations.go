@@ -17,6 +17,21 @@ import (
 // larger factors hold aggressive misbehavers closer to their fair share
 // at the cost of harsher treatment of borderline senders.
 func AblationPenaltyFactor(cfg Config, factors []float64) (*Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, pm := range cfg.PMs {
+		for _, f := range factors {
+			s := cfg.base(fmt.Sprintf("a1-f%.2f-pm%d", f, pm), false, 3)
+			s.Protocol = ProtocolCorrect
+			s.PM = pm
+			s.Core.PenaltyFactor = f
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	cols := []string{"PM%"}
 	for _, f := range factors {
 		cols = append(cols, fmt.Sprintf("MSB f=%.2f", f), fmt.Sprintf("AVG f=%.2f", f))
@@ -27,15 +42,8 @@ func AblationPenaltyFactor(cfg Config, factors []float64) (*Table, error) {
 	}
 	for _, pm := range cfg.PMs {
 		row := []string{strconv.Itoa(pm)}
-		for _, f := range factors {
-			s := cfg.base(fmt.Sprintf("a1-f%.2f-pm%d", f, pm), false, 3)
-			s.Protocol = ProtocolCorrect
-			s.PM = pm
-			s.Core.PenaltyFactor = f
-			agg, err := RunSeeds(s, cfg.Seeds)
-			if err != nil {
-				return nil, err
-			}
+		for range factors {
+			agg := out.Next()
 			row = append(row, fmtF(agg.AvgMisbehaverKbps.Mean), fmtF(agg.AvgHonestKbps.Mean))
 		}
 		t.AddRow(row...)
@@ -47,6 +55,21 @@ func AblationPenaltyFactor(cfg Config, factors []float64) (*Table, error) {
 // misbehavers elude the correction scheme; α = 1 flags every slot of
 // shortfall including measurement noise.
 func AblationAlpha(cfg Config, alphas []float64) (*Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, pm := range cfg.PMs {
+		for _, a := range alphas {
+			s := cfg.base(fmt.Sprintf("a2-alpha%.1f-pm%d", a, pm), true, 3)
+			s.Protocol = ProtocolCorrect
+			s.PM = pm
+			s.Core.Alpha = a
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	cols := []string{"PM%"}
 	for _, a := range alphas {
 		cols = append(cols, fmt.Sprintf("correct%% α=%.1f", a), fmt.Sprintf("misdiag%% α=%.1f", a))
@@ -57,15 +80,8 @@ func AblationAlpha(cfg Config, alphas []float64) (*Table, error) {
 	}
 	for _, pm := range cfg.PMs {
 		row := []string{strconv.Itoa(pm)}
-		for _, a := range alphas {
-			s := cfg.base(fmt.Sprintf("a2-alpha%.1f-pm%d", a, pm), true, 3)
-			s.Protocol = ProtocolCorrect
-			s.PM = pm
-			s.Core.Alpha = a
-			agg, err := RunSeeds(s, cfg.Seeds)
-			if err != nil {
-				return nil, err
-			}
+		for range alphas {
+			agg := out.Next()
 			row = append(row, fmtF(agg.CorrectDiagnosisPct.Mean), fmtF(agg.MisdiagnosisPct.Mean))
 		}
 		t.AddRow(row...)
@@ -82,11 +98,27 @@ type WindowPoint struct {
 // AblationWindow sweeps the diagnosis parameters W and THRESH (§4.3):
 // the correct-diagnosis / misdiagnosis trade-off the paper discusses.
 func AblationWindow(cfg Config, points []WindowPoint) (*Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, pm := range cfg.PMs {
+		for _, w := range points {
+			s := cfg.base(fmt.Sprintf("a3-w%d-t%.0f-pm%d", w.W, w.Thresh, pm), true, 3)
+			s.Protocol = ProtocolCorrect
+			s.PM = pm
+			s.Core.Window = w.W
+			s.Core.Thresh = w.Thresh
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	cols := []string{"PM%"}
-	for _, p := range points {
+	for _, w := range points {
 		cols = append(cols,
-			fmt.Sprintf("correct%% W=%d T=%.0f", p.W, p.Thresh),
-			fmt.Sprintf("misdiag%% W=%d T=%.0f", p.W, p.Thresh))
+			fmt.Sprintf("correct%% W=%d T=%.0f", w.W, w.Thresh),
+			fmt.Sprintf("misdiag%% W=%d T=%.0f", w.W, w.Thresh))
 	}
 	t := &Table{
 		Title:   "Ablation A3: diagnosis window W and THRESH (two-flow)",
@@ -94,16 +126,8 @@ func AblationWindow(cfg Config, points []WindowPoint) (*Table, error) {
 	}
 	for _, pm := range cfg.PMs {
 		row := []string{strconv.Itoa(pm)}
-		for _, p := range points {
-			s := cfg.base(fmt.Sprintf("a3-w%d-t%.0f-pm%d", p.W, p.Thresh, pm), true, 3)
-			s.Protocol = ProtocolCorrect
-			s.PM = pm
-			s.Core.Window = p.W
-			s.Core.Thresh = p.Thresh
-			agg, err := RunSeeds(s, cfg.Seeds)
-			if err != nil {
-				return nil, err
-			}
+		for range points {
+			agg := out.Next()
 			row = append(row, fmtF(agg.CorrectDiagnosisPct.Mean), fmtF(agg.MisdiagnosisPct.Mean))
 		}
 		t.AddRow(row...)
@@ -117,11 +141,7 @@ func AblationWindow(cfg Config, points []WindowPoint) (*Table, error) {
 // so it escapes penalties; with verification the intentional-drop check
 // proves misbehavior outright.
 func AblationAttemptVerification(cfg Config) (*Table, error) {
-	t := &Table{
-		Title: "Ablation A4: attempt-number verification vs attempt-lying misbehaver",
-		Columns: []string{"verification", "PM%", "MSB Kbps", "AVG Kbps",
-			"correct%", "proofs/run"},
-	}
+	p := NewPlan(cfg.Seeds)
 	for _, verify := range []bool{false, true} {
 		for _, pm := range cfg.PMs {
 			if pm == 0 {
@@ -133,10 +153,25 @@ func AblationAttemptVerification(cfg Config) (*Table, error) {
 			s.PM = pm
 			s.Core.VerifyAttempts = verify
 			s.Core.VerifyDropProb = 0.05
-			agg, err := RunSeeds(s, cfg.Seeds)
-			if err != nil {
-				return nil, err
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
+	t := &Table{
+		Title: "Ablation A4: attempt-number verification vs attempt-lying misbehaver",
+		Columns: []string{"verification", "PM%", "MSB Kbps", "AVG Kbps",
+			"correct%", "proofs/run"},
+	}
+	for _, verify := range []bool{false, true} {
+		for _, pm := range cfg.PMs {
+			if pm == 0 {
+				continue
 			}
+			agg := out.Next()
 			t.AddRow(boolCell(verify), strconv.Itoa(pm),
 				fmtF(agg.AvgMisbehaverKbps.Mean), fmtF(agg.AvgHonestKbps.Mean),
 				fmtF(agg.CorrectDiagnosisPct.Mean),
@@ -152,14 +187,7 @@ func AblationAttemptVerification(cfg Config) (*Table, error) {
 // expense. The sender-side G audit clamps the greedy assignments and
 // restores fairness.
 func AblationReceiverMisbehavior(cfg Config) (*Table, error) {
-	t := &Table{
-		Title: "Ablation A5: greedy receiver vs sender-side G verification",
-		Columns: []string{"receiver", "sender audit",
-			"honest-flow Kbps", "greedy-flow Kbps", "fairness", "detections/run"},
-		Notes: []string{
-			"two flows: sender 2 → honest receiver 0, sender 3 → receiver 1 (greedy in rows 3-4)",
-		},
-	}
+	p := NewPlan(cfg.Seeds)
 	for _, greedyRecv := range []bool{false, true} {
 		for _, audit := range []bool{false, true} {
 			s := DefaultScenario()
@@ -173,16 +201,29 @@ func AblationReceiverMisbehavior(cfg Config) (*Table, error) {
 			if greedyRecv {
 				s.GreedyReceivers = []frame.NodeID{1}
 			}
-			// RunAll fans the seeds across the worker pool but hands
-			// results back in seed order, so the Welford accumulation
-			// below stays deterministic.
-			results, err := RunAll(s, cfg.Seeds)
-			if err != nil {
-				return nil, err
-			}
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
+	t := &Table{
+		Title: "Ablation A5: greedy receiver vs sender-side G verification",
+		Columns: []string{"receiver", "sender audit",
+			"honest-flow Kbps", "greedy-flow Kbps", "fairness", "detections/run"},
+		Notes: []string{
+			"two flows: sender 2 → honest receiver 0, sender 3 → receiver 1 (greedy in rows 3-4)",
+		},
+	}
+	for _, greedyRecv := range []bool{false, true} {
+		for _, audit := range []bool{false, true} {
+			// Results come back in seed order, so the Welford
+			// accumulation below stays deterministic.
 			var honestFlow, greedyFlow, fair stats.Welford
 			detections := 0
-			for _, r := range results {
+			for _, r := range out.NextResults() {
 				honestFlow.Add(r.ThroughputBySender[2])
 				greedyFlow.Add(r.ThroughputBySender[3])
 				fair.Add(r.Fairness)
@@ -207,6 +248,21 @@ func AblationReceiverMisbehavior(cfg Config) (*Table, error) {
 // ACK suppression. Detection quality and containment should track the
 // RTS/CTS numbers closely in a single-cell topology.
 func AblationBasicAccess(cfg Config) (*Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, basic := range []bool{false, true} {
+		for _, pm := range cfg.PMs {
+			s := cfg.base(fmt.Sprintf("a7-basic%t-pm%d", basic, pm), false, 3)
+			s.Protocol = ProtocolCorrect
+			s.PM = pm
+			s.MAC.BasicAccess = basic
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	t := &Table{
 		Title: "Ablation A7: RTS/CTS vs basic access (zero-flow, node 3 misbehaving)",
 		Columns: []string{"access", "PM%", "MSB Kbps", "AVG Kbps",
@@ -214,14 +270,7 @@ func AblationBasicAccess(cfg Config) (*Table, error) {
 	}
 	for _, basic := range []bool{false, true} {
 		for _, pm := range cfg.PMs {
-			s := cfg.base(fmt.Sprintf("a7-basic%t-pm%d", basic, pm), false, 3)
-			s.Protocol = ProtocolCorrect
-			s.PM = pm
-			s.MAC.BasicAccess = basic
-			agg, err := RunSeeds(s, cfg.Seeds)
-			if err != nil {
-				return nil, err
-			}
+			agg := out.Next()
 			mode := "rts/cts"
 			if basic {
 				mode = "basic"
@@ -241,6 +290,23 @@ func AblationBasicAccess(cfg Config) (*Table, error) {
 // channels, missed mild misbehavior in clean ones) should narrow on
 // both sides.
 func AblationAdaptiveThresh(cfg Config) (*Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, twoFlow := range []bool{false, true} {
+		for _, pm := range cfg.PMs {
+			for _, adaptive := range []bool{false, true} {
+				s := cfg.base(fmt.Sprintf("a6-%s-adaptive%t-pm%d", flowName(twoFlow), adaptive, pm), twoFlow, 3)
+				s.Protocol = ProtocolCorrect
+				s.PM = pm
+				s.Core.AdaptiveThresh = adaptive
+				p.Add(s)
+			}
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	t := &Table{
 		Title: "Ablation A6: adaptive THRESH (Tukey fence) vs static THRESH=20",
 		Columns: []string{"scenario", "PM%",
@@ -250,15 +316,8 @@ func AblationAdaptiveThresh(cfg Config) (*Table, error) {
 	for _, twoFlow := range []bool{false, true} {
 		for _, pm := range cfg.PMs {
 			row := []string{flowName(twoFlow), strconv.Itoa(pm)}
-			for _, adaptive := range []bool{false, true} {
-				s := cfg.base(fmt.Sprintf("a6-%s-adaptive%t-pm%d", flowName(twoFlow), adaptive, pm), twoFlow, 3)
-				s.Protocol = ProtocolCorrect
-				s.PM = pm
-				s.Core.AdaptiveThresh = adaptive
-				agg, err := RunSeeds(s, cfg.Seeds)
-				if err != nil {
-					return nil, err
-				}
+			for range 2 { // static, adaptive
+				agg := out.Next()
 				row = append(row, fmtF(agg.CorrectDiagnosisPct.Mean), fmtF(agg.MisdiagnosisPct.Mean))
 			}
 			t.AddRow(row...)
@@ -273,12 +332,7 @@ func AblationAdaptiveThresh(cfg Config) (*Table, error) {
 // range) feed one receiver between them: without the handshake their
 // DATA frames collide wholesale; with it only the short RTSes do.
 func ExtHiddenTerminal(cfg Config) (*Table, error) {
-	t := &Table{
-		Title: "Extension: hidden terminals — basic access vs RTS/CTS (CS range 300 m)",
-		Columns: []string{"access", "total Kbps", "fairness",
-			"avg delay ms"},
-		Notes: []string{"S1(0) → R(200) ← S2(400); senders mutually hidden"},
-	}
+	p := NewPlan(cfg.Seeds)
 	for _, basic := range []bool{true, false} {
 		s := DefaultScenario()
 		s.Name = fmt.Sprintf("hidden-basic%t", basic)
@@ -295,14 +349,21 @@ func ExtHiddenTerminal(cfg Config) (*Table, error) {
 				Receivers: []frame.NodeID{0},
 			}
 		}
-		agg, err := RunSeeds(s, cfg.Seeds)
-		if err != nil {
-			return nil, err
-		}
-		mode := "rts/cts"
-		if basic {
-			mode = "basic"
-		}
+		p.Add(s)
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
+	t := &Table{
+		Title: "Extension: hidden terminals — basic access vs RTS/CTS (CS range 300 m)",
+		Columns: []string{"access", "total Kbps", "fairness",
+			"avg delay ms"},
+		Notes: []string{"S1(0) → R(200) ← S2(400); senders mutually hidden"},
+	}
+	for _, mode := range []string{"basic", "rts/cts"} {
+		agg := out.Next()
 		t.AddRow(mode, fmtF(agg.TotalKbps.Mean), fmtF3(agg.Fairness.Mean),
 			fmtF(agg.AvgHonestDelayMs.Mean))
 	}

@@ -8,12 +8,17 @@ import (
 	"dcfguard/internal/frame"
 )
 
-// RunAll executes the scenario once per seed — in parallel across
-// GOMAXPROCS workers, with results returned in seed order — and returns
-// the raw per-run results: the escape hatch for external analysis
-// beyond the built-in aggregation.
+// RunAll executes the scenario once per seed on RunSweep's pool and
+// returns the raw per-run results in seed order: the escape hatch for
+// external analysis beyond the built-in aggregation.
 func RunAll(s Scenario, seeds []uint64) ([]Result, error) {
-	return runParallel(s, seeds)
+	p := NewPlan(seeds)
+	p.Add(s)
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+	return out.NextResults(), nil
 }
 
 // ResultsCSV renders raw per-run results as CSV, one row per (run,

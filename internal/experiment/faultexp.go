@@ -57,7 +57,7 @@ func faultScenarioName(fer float64, burst bool) string {
 // that completed, and the report carries the diagnostics for the rest.
 func ExtFaultTolerance(cfg Config, opts SweepOptions) (*Table, *SweepReport, error) {
 	cells := FaultToleranceCells(cfg)
-	rep, err := RunSweep(cells, opts)
+	rep, err := runSweep(cells, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -79,6 +79,20 @@ func (c Config) base(name string, twoFlow bool, mis ...int) Scenario {
 // misdiagnosis %) versus PM for the ZERO-FLOW and TWO-FLOW scenarios,
 // with node 3 of 8 misbehaving under the CORRECT protocol.
 func Fig4(cfg Config) (*Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, pm := range cfg.PMs {
+		for _, twoFlow := range []bool{false, true} {
+			s := cfg.base(fmt.Sprintf("fig4-%s-pm%d", flowName(twoFlow), pm), twoFlow, 3)
+			s.Protocol = ProtocolCorrect
+			s.PM = pm
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	t := &Table{
 		Title: "Figure 4: Diagnosis accuracy for varying magnitude of misbehavior",
 		Columns: []string{"PM%",
@@ -92,14 +106,8 @@ func Fig4(cfg Config) (*Table, error) {
 	}
 	for _, pm := range cfg.PMs {
 		row := []string{strconv.Itoa(pm)}
-		for _, twoFlow := range []bool{false, true} {
-			s := cfg.base(flowName(twoFlow), twoFlow, 3)
-			s.Protocol = ProtocolCorrect
-			s.PM = pm
-			agg, err := RunSeeds(s, cfg.Seeds)
-			if err != nil {
-				return nil, err
-			}
+		for range 2 { // zero-flow, two-flow
+			agg := out.Next()
 			t.Events += agg.EventsFired
 			row = append(row,
 				fmtCI(agg.CorrectDiagnosisPct.Mean, agg.CorrectDiagnosisPct.CI95),
@@ -115,6 +123,20 @@ func Fig4(cfg Config) (*Table, error) {
 // per-packet MAC delays over the same runs (lower delay being the other
 // selfish incentive §3.1 names).
 func Fig5WithDelay(cfg Config) (*Table, *Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, pm := range cfg.PMs {
+		for _, proto := range []Protocol{Protocol80211, ProtocolCorrect} {
+			s := cfg.base(fmt.Sprintf("fig5-%s-pm%d", proto, pm), false, 3)
+			s.Protocol = proto
+			s.PM = pm
+			p.Add(s)
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+
 	t5 := &Table{
 		Title: "Figure 5: Throughput comparison between IEEE 802.11 and proposed scheme (Kbps)",
 		Columns: []string{"PM%",
@@ -133,14 +155,8 @@ func Fig5WithDelay(cfg Config) (*Table, *Table, error) {
 	for _, pm := range cfg.PMs {
 		row5 := []string{strconv.Itoa(pm)}
 		rowD := []string{strconv.Itoa(pm)}
-		for _, proto := range []Protocol{Protocol80211, ProtocolCorrect} {
-			s := cfg.base("fig5-"+proto.String(), false, 3)
-			s.Protocol = proto
-			s.PM = pm
-			agg, err := RunSeeds(s, cfg.Seeds)
-			if err != nil {
-				return nil, nil, err
-			}
+		for range 2 { // 802.11, CORRECT
+			agg := out.Next()
 			t5.Events += agg.EventsFired
 			tD.Events = t5.Events // same runs
 			row5 = append(row5,
@@ -169,6 +185,22 @@ func Fig5(cfg Config) (*Table, error) {
 // fairness index) from it: 802.11 versus CORRECT under ZERO-FLOW and
 // TWO-FLOW, with N honest senders.
 func Fig6And7(cfg Config) (*Table, *Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, n := range cfg.NetworkSizes {
+		for _, twoFlow := range []bool{false, true} {
+			for _, proto := range []Protocol{Protocol80211, ProtocolCorrect} {
+				s := cfg.base(fmt.Sprintf("fig6+7-%s-%s-%d", flowName(twoFlow), proto, n), twoFlow)
+				s.Topo = StarTopo(n, twoFlow)
+				s.Protocol = proto
+				p.Add(s)
+			}
+		}
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, nil, err
+	}
+
 	cols := []string{"senders",
 		"zero 802.11", "zero CORRECT", "two 802.11", "two CORRECT"}
 	t6 := &Table{
@@ -182,20 +214,12 @@ func Fig6And7(cfg Config) (*Table, *Table, error) {
 	for _, n := range cfg.NetworkSizes {
 		row6 := []string{strconv.Itoa(n)}
 		row7 := []string{strconv.Itoa(n)}
-		for _, twoFlow := range []bool{false, true} {
-			for _, proto := range []Protocol{Protocol80211, ProtocolCorrect} {
-				s := cfg.base(fmt.Sprintf("fig6+7-%s-%s-%d", flowName(twoFlow), proto, n), twoFlow)
-				s.Topo = StarTopo(n, twoFlow)
-				s.Protocol = proto
-				agg, err := RunSeeds(s, cfg.Seeds)
-				if err != nil {
-					return nil, nil, err
-				}
-				t6.Events += agg.EventsFired
-				t7.Events = t6.Events // same runs
-				row6 = append(row6, fmtCI(agg.AvgHonestKbps.Mean, agg.AvgHonestKbps.CI95))
-				row7 = append(row7, fmtF3(agg.Fairness.Mean))
-			}
+		for range 4 { // {zero, two}-flow × {802.11, CORRECT}
+			agg := out.Next()
+			t6.Events += agg.EventsFired
+			t7.Events = t6.Events // same runs
+			row6 = append(row6, fmtCI(agg.AvgHonestKbps.Mean, agg.AvgHonestKbps.CI95))
+			row7 = append(row7, fmtF3(agg.Fairness.Mean))
 		}
 		t6.AddRow(row6...)
 		t7.AddRow(row7...)
@@ -226,17 +250,22 @@ func Fig8(cfg Config) (*Table, error) {
 		Title:   "Figure 8: Responsiveness of misbehavior diagnosis (two-flow)",
 		Columns: cols,
 	}
-	var series [][]float64
-	var maxBins int
+	p := NewPlan(cfg.Seeds)
 	for _, pm := range cfg.Fig8PMs {
 		s := cfg.base(fmt.Sprintf("fig8-pm%d", pm), true, 3)
 		s.Protocol = ProtocolCorrect
 		s.PM = pm
 		s.BinSize = sim.Second
-		agg, err := RunSeeds(s, cfg.Seeds)
-		if err != nil {
-			return nil, err
-		}
+		p.Add(s)
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+	var series [][]float64
+	var maxBins int
+	for range cfg.Fig8PMs {
+		agg := out.Next()
 		t.Events += agg.EventsFired
 		vals := make([]float64, len(agg.Series))
 		for i, p := range agg.Series {
@@ -291,6 +320,26 @@ func ScaledRandomTopo(nodes, nMis int) func(uint64) *topo.Topology {
 // Fig9 reproduces Figure 9: protocol performance over random
 // topologies — (a) diagnosis accuracy and (b) throughput, versus PM.
 func Fig9(cfg Config) (*Table, error) {
+	p := NewPlan(cfg.Seeds)
+	for _, pm := range cfg.PMs {
+		// (a) Diagnosis under CORRECT; (b) throughput under both protocols.
+		s := DefaultScenario()
+		s.Name = fmt.Sprintf("fig9-correct-pm%d", pm)
+		s.Duration = cfg.Duration
+		s.Topo = RandomTopo(40, 5)
+		s.Protocol = ProtocolCorrect
+		s.PM = pm
+		s.Channel = cfg.Channel
+		p.Add(s)
+		s.Name = fmt.Sprintf("fig9-80211-pm%d", pm)
+		s.Protocol = Protocol80211
+		p.Add(s)
+	}
+	out, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+
 	t := &Table{
 		Title: "Figure 9: Protocol performance for random topology (40 nodes, 1500m x 700m, 5 misbehaving)",
 		Columns: []string{"PM%",
@@ -299,33 +348,12 @@ func Fig9(cfg Config) (*Table, error) {
 	}
 	for _, pm := range cfg.PMs {
 		row := []string{strconv.Itoa(pm)}
-		// (a) Diagnosis under CORRECT.
-		s := DefaultScenario()
-		s.Name = fmt.Sprintf("fig9-correct-pm%d", pm)
-		s.Duration = cfg.Duration
-		s.Topo = RandomTopo(40, 5)
-		s.Protocol = ProtocolCorrect
-		s.PM = pm
-		s.Channel = cfg.Channel
-		aggC, err := RunSeeds(s, cfg.Seeds)
-		if err != nil {
-			return nil, err
-		}
-		t.Events += aggC.EventsFired
+		aggC := out.Next()
+		agg80 := out.Next()
+		t.Events += aggC.EventsFired + agg80.EventsFired
 		row = append(row,
 			fmtCI(aggC.CorrectDiagnosisPct.Mean, aggC.CorrectDiagnosisPct.CI95),
-			fmtCI(aggC.MisdiagnosisPct.Mean, aggC.MisdiagnosisPct.CI95))
-
-		// (b) Throughput under both protocols.
-		s80 := s
-		s80.Name = fmt.Sprintf("fig9-80211-pm%d", pm)
-		s80.Protocol = Protocol80211
-		agg80, err := RunSeeds(s80, cfg.Seeds)
-		if err != nil {
-			return nil, err
-		}
-		t.Events += agg80.EventsFired
-		row = append(row,
+			fmtCI(aggC.MisdiagnosisPct.Mean, aggC.MisdiagnosisPct.CI95),
 			fmtCI(agg80.AvgMisbehaverKbps.Mean, agg80.AvgMisbehaverKbps.CI95),
 			fmtCI(agg80.AvgHonestKbps.Mean, agg80.AvgHonestKbps.CI95),
 			fmtCI(aggC.AvgMisbehaverKbps.Mean, aggC.AvgMisbehaverKbps.CI95),

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"dcfguard/internal/sim"
 	"dcfguard/internal/stats"
@@ -45,54 +43,105 @@ func Seeds(n int) []uint64 {
 	return s
 }
 
-// RunSeeds executes the scenario once per seed, in parallel across
-// GOMAXPROCS workers, and aggregates the results.
+// RunSeeds executes the scenario once per seed on RunSweep's pool and
+// aggregates the results in seed order.
 func RunSeeds(s Scenario, seeds []uint64) (Aggregate, error) {
-	results, err := runParallel(s, seeds)
+	results, err := RunAll(s, seeds)
 	if err != nil {
 		return Aggregate{}, err
 	}
 	return aggregate(s.Name, results), nil
 }
 
-// runParallel fans the seeds across a GOMAXPROCS worker pool. Each run
-// is an independent pure function of (scenario, seed), so results land
-// at their seed's index regardless of completion order — callers see
-// the same deterministic ordering the old serial loops produced.
-func runParallel(s Scenario, seeds []uint64) ([]Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("experiment: %s: no seeds", s.Name)
-	}
-	results := make([]Result, len(seeds))
-	errs := make([]error, len(seeds))
+// Plan is one figure's whole run list, built before anything runs:
+// every point (one scenario per variant and x-axis value), each at
+// every seed. Run hands the list to RunSweep's pool in one go, so the
+// figure keeps every worker busy up to its last cell instead of
+// waiting at each point for its slowest seed.
+type Plan struct {
+	seeds  []uint64
+	points []Scenario
+}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seeds) {
-		workers = len(seeds)
+// NewPlan starts an empty plan whose points all run at seeds.
+func NewPlan(seeds []uint64) *Plan { return &Plan{seeds: seeds} }
+
+// Add appends a point. Point names key the sweep's cells, so every
+// point of a plan needs its own.
+func (p *Plan) Add(s Scenario) { p.points = append(p.points, s) }
+
+// runSweep is the pool every plan and ExtFaultTolerance runs on; tests
+// swap it to inspect the cells a generator plans or to break one.
+var runSweep = RunSweep
+
+// Run executes every (point, seed) cell once and returns the points'
+// results. A failed cell fails the plan with its *SeedFailure, the
+// first in plan order. Each run is a pure function of (scenario, seed),
+// so the results match one serial run per cell.
+//
+// RunSweep rejects repeated (name, seed) keys, so a seed listed twice
+// for one point runs again in a second sweep: every entry still gets a
+// run of its own.
+func (p *Plan) Run() (*Outcome, error) {
+	out := &Outcome{points: p.points, results: make([][]Result, len(p.points))}
+	if len(p.points) == 0 {
+		return out, nil
 	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				results[i], errs[i] = Run(s, seeds[i])
+	if len(p.seeds) == 0 {
+		return nil, fmt.Errorf("experiment: %s: no seeds", p.points[0].Name)
+	}
+	type ref struct{ point, seed int }
+	var rounds [][]ref
+	repeats := make(map[string]int)
+	for i, s := range p.points {
+		out.results[i] = make([]Result, len(p.seeds))
+		for j, seed := range p.seeds {
+			key := CellFileName(s.Name, seed)
+			k := repeats[key]
+			repeats[key]++
+			if k == len(rounds) {
+				rounds = append(rounds, nil)
 			}
-		}()
-	}
-	for i := range seeds {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %s seed %d: %w", s.Name, seeds[i], err)
+			rounds[k] = append(rounds[k], ref{i, j})
 		}
 	}
-	return results, nil
+	for _, round := range rounds {
+		cells := make([]SweepCell, len(round))
+		for n, r := range round {
+			cells[n] = SweepCell{Scenario: p.points[r.point], Seed: p.seeds[r.seed]}
+		}
+		rep, err := runSweep(cells, SweepOptions{})
+		if err != nil {
+			return nil, err
+		}
+		if !rep.OK() {
+			return nil, rep.Failures[0]
+		}
+		for n, r := range round {
+			out.results[r.point][r.seed] = rep.Results[n]
+		}
+	}
+	return out, nil
+}
+
+// Outcome hands a plan's results back point by point, in the order the
+// points were added.
+type Outcome struct {
+	points  []Scenario
+	results [][]Result
+}
+
+// NextResults returns the next point's results in seed order.
+func (o *Outcome) NextResults() []Result {
+	r := o.results[0]
+	o.points, o.results = o.points[1:], o.results[1:]
+	return r
+}
+
+// Next aggregates the next point's results.
+func (o *Outcome) Next() Aggregate {
+	name := o.points[0].Name
+	return aggregate(name, o.NextResults())
 }
 
 func aggregate(name string, results []Result) Aggregate {
