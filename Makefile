@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint audit race idle-history world-build bench-module bench bench-quick bench-full bench-large bench-guard bench-paper check check-v2 faults obs serve shards clean
+.PHONY: all build test vet lint audit race idle-history world-build bench-module bench bench-record bench-large bench-guard bench-paper check check-v2 faults obs serve shards clean
 
 all: build
 
@@ -62,13 +62,11 @@ bench-module:
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem ./...
 
-# Single hand-timed iteration per canonical target; writes BENCH.json.
-bench-quick:
-	$(GO) run ./cmd/macsim bench -quick
-
-# Full auto-scaled suite; refreshes the committed BENCH.json.
-bench-full:
-	$(GO) run ./cmd/macsim bench -out BENCH.json
+# Re-records the committed BENCH.json: the baselines the guards read
+# (bench-guard, obs, serve), timed with the guards' own estimator.
+# Machine-local, like the guards; run it on the host that runs them.
+bench-record:
+	$(GO) run ./cmd/macsim bench
 
 # One iteration of the large-topology scaling benchmarks (channel model
 # v2 at 200/400 nodes plus the v1 400-node baseline).

@@ -1,17 +1,21 @@
 package dcfguard
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"syscall"
 	"time"
 
 	"dcfguard/internal/rng"
 )
 
-// This file defines the canonical benchmark suite in one place, so the
-// in-repo benchmarks (bench_test.go) and the `macsim bench` subcommand
-// measure exactly the same workloads. BENCH.json entries and the
-// numbers recorded in README must always come from these definitions.
+// This file defines the benchmark workloads in one place. The
+// Benchmark* functions in bench_test.go time them one by one under
+// `go test -bench`; BENCH.json holds only the baselines that the
+// machine-local guards read (BenchGuarded, HostReference), written by
+// `macsim bench` with the guards' own estimator, BenchTime.
 
 // BenchFigConfig is the reduced per-iteration figure configuration used
 // by the BenchmarkFig* suite: short runs, two seeds, two network sizes.
@@ -124,32 +128,16 @@ func benchScenarioRandomV3(n int, d Time, shards int) Scenario {
 	return s
 }
 
-// benchShards is the shard count of the *Sharded bench targets — the
-// 4-way partition the ISSUE's speedup target is stated against.
+// benchShards is the shard count of BenchScenarioRandom10kV3Sharded,
+// the 4-way partition TestShardSpeedupGuard states its target against.
 const benchShards = 4
 
-// BenchScenarioRandom1kV3 and friends are the sharded-kernel scaling
-// suite: each size runs serial and sharded over the SAME workload, so
-// BENCH.json's speedup_vs_1shard is a pure kernel comparison. On a
-// single-core host the sharded runs measure barrier overhead instead of
-// speedup — BENCH.json records GOMAXPROCS so readers can tell which.
-func BenchScenarioRandom1kV3() Scenario { return benchScenarioRandomV3(1000, 400*Millisecond, 1) }
-
-// BenchScenarioRandom1kV3Sharded is the 4-shard pair of BenchScenarioRandom1kV3.
-func BenchScenarioRandom1kV3Sharded() Scenario {
-	return benchScenarioRandomV3(1000, 400*Millisecond, benchShards)
-}
-
-// BenchScenarioRandom4kV3 is the 4000-node serial v3 workload.
+// BenchScenarioRandom4kV3 is the 4000-node serial v3 workload, the
+// base of dcfbench's scale-4k-sharded.
 func BenchScenarioRandom4kV3() Scenario { return benchScenarioRandomV3(4000, 200*Millisecond, 1) }
 
-// BenchScenarioRandom4kV3Sharded is the 4-shard pair of BenchScenarioRandom4kV3.
-func BenchScenarioRandom4kV3Sharded() Scenario {
-	return benchScenarioRandomV3(4000, 200*Millisecond, benchShards)
-}
-
-// BenchScenarioRandom10kV3 is the 10000-node serial v3 workload — the
-// ISSUE's headline size.
+// BenchScenarioRandom10kV3 is the 10000-node serial v3 workload, the
+// serial side of TestShardSpeedupGuard.
 func BenchScenarioRandom10kV3() Scenario { return benchScenarioRandomV3(10000, 100*Millisecond, 1) }
 
 // BenchScenarioRandom10kV3Sharded is the 4-shard pair of BenchScenarioRandom10kV3.
@@ -157,91 +145,89 @@ func BenchScenarioRandom10kV3Sharded() Scenario {
 	return benchScenarioRandomV3(10000, 100*Millisecond, benchShards)
 }
 
-// BenchTarget is one workload of the canonical suite. Run executes a
-// single iteration and returns the kernel events it fired (zero when
-// the workload has no single meaningful event count, e.g. figure
-// sweeps aggregate many runs).
-type BenchTarget struct {
-	Name string
-	Run  func(iter int) (events uint64, err error)
+// HostReference names BENCH.json's host-speed entry: its
+// events_per_sec is HostReferenceRate when the file was recorded.
+const HostReference = "HostReference"
+
+// BenchWorkload is one scenario entry of BENCH.json.
+type BenchWorkload struct {
+	Name     string
+	Scenario Scenario
 }
 
-// scenarioTarget builds a target that runs one scenario per iteration,
-// cycling the seed exactly like benchScenario in bench_test.go.
-func scenarioTarget(name string, s Scenario) BenchTarget {
-	return BenchTarget{Name: name, Run: func(iter int) (uint64, error) {
-		r, err := Run(s, uint64(iter+1))
-		if err != nil {
-			return 0, err
+// BenchGuarded lists BENCH.json's scenario entries in file order.
+// With HostReference they are all the file holds, because each is a
+// baseline that a machine-local guard reads:
+//   - RunRandom40: ns_per_op, for the disabled-observability overhead
+//     guard;
+//   - RunRandom40V2: events_per_sec, for the kernel-throughput guard,
+//     and ns_per_op, for the serve overhead guard;
+//   - RunRandom400: events_per_sec, for the kernel-throughput guard.
+func BenchGuarded() []BenchWorkload {
+	return []BenchWorkload{
+		{"RunRandom40", BenchScenarioRandom40()},
+		{"RunRandom40V2", BenchScenarioRandom40V2()},
+		{"RunRandom400", BenchScenarioRandom400()},
+	}
+}
+
+// BenchFile is the BENCH.json schema, written by `macsim bench`.
+type BenchFile struct {
+	GeneratedAt string `json:"generated_at"`
+	GoVersion   string `json:"go_version"`
+	GOOS        string `json:"goos"`
+	GOARCH      string `json:"goarch"`
+	// GOMAXPROCS qualifies every number: the host's parallelism when
+	// the file was recorded.
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Results    []BenchEntry `json:"results"`
+}
+
+// BenchEntry is one BENCH.json baseline: the fastest run's BenchTime
+// (zero for HostReference) and the events per second of that run.
+type BenchEntry struct {
+	Name         string  `json:"name"`
+	NsPerOp      int64   `json:"ns_per_op"`
+	EventsPerSec float64 `json:"events_per_sec"`
+}
+
+// LoadBench reads a BENCH.json file and returns its entries by name.
+// Unknown fields and repeated names are errors, so the file cannot
+// carry numbers that no guard reads.
+func LoadBench(path string) (map[string]BenchEntry, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var f BenchFile
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&f); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	entries := make(map[string]BenchEntry, len(f.Results))
+	for _, e := range f.Results {
+		if _, dup := entries[e.Name]; dup {
+			return nil, fmt.Errorf("%s: entry %q appears twice", path, e.Name)
 		}
-		return r.EventsFired, nil
-	}}
+		entries[e.Name] = e
+	}
+	return entries, nil
 }
 
-// BenchTargets returns the canonical suite: the three kernel-throughput
-// scenarios plus the figure generators, mirroring the BenchmarkRun* and
-// BenchmarkFig* benchmarks.
-func BenchTargets() []BenchTarget {
-	cfg := BenchFigConfig()
-	fig := func(name string, f func(Config) (*Table, error)) BenchTarget {
-		return BenchTarget{Name: name, Run: func(int) (uint64, error) {
-			t, err := f(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return t.Events, nil
-		}}
+// BenchTime runs f once and returns its cost as min(wall, process
+// CPU): contention on a shared host inflates wall time but not the CPU
+// burned, and wall time strips accounting skew the other way. The
+// guards and `macsim bench` time every run with it, so a baseline and
+// its check use one estimator.
+func BenchTime(f func() error) (time.Duration, error) {
+	wall0, cpu0 := time.Now(), processCPUTime() //detlint:allow wallclock -- host benchmarking, outside the simulation
+	err := f()
+	d, cpu := time.Since(wall0), processCPUTime()-cpu0 //detlint:allow wallclock -- host benchmarking, outside the simulation
+	if cpu > 0 && cpu < d {
+		d = cpu
 	}
-	return []BenchTarget{
-		scenarioTarget("Run80211Star", BenchScenario80211Star()),
-		scenarioTarget("RunCorrectStar", BenchScenarioCorrectStar()),
-		scenarioTarget("RunRandom40", BenchScenarioRandom40()),
-		scenarioTarget("RunRandom40V2", BenchScenarioRandom40V2()),
-		scenarioTarget("RunRandom200", BenchScenarioRandom200()),
-		scenarioTarget("RunRandom400", BenchScenarioRandom400()),
-		scenarioTarget("RunRandom400V1", BenchScenarioRandom400V1()),
-		scenarioTarget("RunRandom1k", BenchScenarioRandom1kV3()),
-		scenarioTarget("RunRandom1kSharded", BenchScenarioRandom1kV3Sharded()),
-		scenarioTarget("RunRandom4k", BenchScenarioRandom4kV3()),
-		scenarioTarget("RunRandom4kSharded", BenchScenarioRandom4kV3Sharded()),
-		scenarioTarget("RunRandom10k", BenchScenarioRandom10kV3()),
-		scenarioTarget("RunRandom10kSharded", BenchScenarioRandom10kV3Sharded()),
-		fig("Fig4DiagnosisAccuracy", Fig4),
-		fig("Fig5Throughput", Fig5),
-		fig("Fig7Fairness", Fig7),
-		fig("Fig8Responsiveness", Fig8),
-		{Name: "Fig6NoMisbehavior", Run: func(int) (uint64, error) {
-			t6, _, err := Fig6And7(cfg)
-			if err != nil {
-				return 0, err
-			}
-			return t6.Events, nil
-		}},
-		{Name: "Fig9RandomTopology", Run: func(int) (uint64, error) {
-			c := cfg
-			c.PMs = []int{80}
-			t, err := Fig9(c)
-			if err != nil {
-				return 0, err
-			}
-			return t.Events, nil
-		}},
-	}
-}
-
-// FindBenchTarget returns the named target, or an error listing the
-// valid names.
-func FindBenchTarget(name string) (BenchTarget, error) {
-	for _, t := range BenchTargets() {
-		if t.Name == name {
-			return t, nil
-		}
-	}
-	names := make([]string, 0, len(BenchTargets()))
-	for _, t := range BenchTargets() {
-		names = append(names, t.Name)
-	}
-	return BenchTarget{}, fmt.Errorf("unknown bench target %q (have %v)", name, names)
+	return d, err
 }
 
 // hostRefOps is the iteration count of the host-reference loop: enough
@@ -253,30 +239,26 @@ const hostRefOps = 1 << 23
 var hostRefSink uint64
 
 // HostReferenceRate measures this machine's current scalar throughput
-// as Mix64 rounds per second, best of three batches, each timed as
-// min(wall, process CPU). BENCH.json records it next to the kernel
-// numbers ("HostReference") so the throughput guard can tell a kernel
-// regression from the shared host simply clocking slower than it did
-// when the baseline was captured: the guard scales its floor by
-// (rate now / rate recorded), capped at 1 so a faster host never
-// loosens it. A pure ALU loop tracks frequency drift on both counts —
-// it shares no caches or allocator state with the simulator, which is
-// exactly why it isolates the host-speed factor.
+// as Mix64 rounds per second, best of three BenchTime batches.
+// BENCH.json records it next to the kernel numbers (HostReference) so
+// the guards can tell a kernel regression from the shared host simply
+// clocking slower than it did when the baseline was captured: they
+// scale their bounds by (rate now / rate recorded), capped at 1 so a
+// faster host never loosens them. A pure ALU loop tracks frequency
+// drift on both counts — it shares no caches or allocator state with
+// the simulator, which is exactly why it isolates the host-speed
+// factor.
 func HostReferenceRate() float64 {
 	best := 0.0
 	for batch := 0; batch < 3; batch++ {
-		wall0 := time.Now() //detlint:allow wallclock -- host benchmarking, outside the simulation
-		cpu0 := processCPUTime()
 		acc := uint64(batch)
-		for i := uint64(0); i < hostRefOps; i++ {
-			acc = rng.Mix64(acc, i)
-		}
+		d, _ := BenchTime(func() error {
+			for i := uint64(0); i < hostRefOps; i++ {
+				acc = rng.Mix64(acc, i)
+			}
+			return nil
+		})
 		hostRefSink += acc
-		wall := time.Since(wall0) //detlint:allow wallclock -- host benchmarking, outside the simulation
-		d := wall
-		if cpu := processCPUTime() - cpu0; cpu > 0 && cpu < d {
-			d = cpu
-		}
 		if s := d.Seconds(); s > 0 {
 			if r := float64(hostRefOps) / s; r > best {
 				best = r

@@ -1,7 +1,6 @@
 package dcfguard_test
 
 import (
-	"encoding/json"
 	"os"
 	"runtime"
 	"testing"
@@ -19,20 +18,28 @@ import (
 // absolute throughput is only meaningful on the machine that captured
 // the baseline.
 //
-// The estimator mirrors TestDisabledObservabilityOverhead's
-// noisy-host discipline: each run is timed as min(wall, process-CPU) —
-// contention inflates wall but not CPU burned — the best per-run rate
-// accumulates across batches with a pause between failing ones, and a
-// real regression lowers the ceiling itself so no number of batches
-// rescues it.
+// The estimator is TestDisabledObservabilityOverhead's: each run is
+// timed by dcfguard.BenchTime, min(wall, process CPU), the best per-run
+// rate accumulates across batches with a pause between failing ones,
+// and a real regression lowers the ceiling itself so no number of
+// batches rescues it.
 
-// benchGuardTargets are the guarded workloads; both run channel model
-// v2, the default, so they cover the slab kernel, the calendar queue,
-// and the batched counter-RNG fast path.
-func benchGuardTargets() map[string]dcfguard.Scenario {
-	return map[string]dcfguard.Scenario{
-		"RunRandom40V2": dcfguard.BenchScenarioRandom40V2(),
-		"RunRandom400":  dcfguard.BenchScenarioRandom400(),
+// TestBenchLedger ties BENCH.json to the guards without running any:
+// every guarded entry has a positive baseline, and the file holds
+// nothing else, so a renamed or dropped entry fails here rather than
+// only under the guards' environment gate.
+func TestBenchLedger(t *testing.T) {
+	bench := benchBaselines(t)
+	for _, w := range dcfguard.BenchGuarded() {
+		if e := bench[w.Name]; e.NsPerOp <= 0 || e.EventsPerSec <= 0 {
+			t.Errorf("BENCH.json %s = %+v, want positive ns_per_op and events_per_sec", w.Name, e)
+		}
+	}
+	if bench[dcfguard.HostReference].EventsPerSec <= 0 {
+		t.Errorf("BENCH.json has no positive %s events_per_sec", dcfguard.HostReference)
+	}
+	if want := len(dcfguard.BenchGuarded()) + 1; len(bench) != want {
+		t.Errorf("BENCH.json holds %d entries, want the %d that guards read", len(bench), want)
 	}
 }
 
@@ -40,34 +47,25 @@ func TestKernelThroughputGuard(t *testing.T) {
 	if os.Getenv(overheadGuardEnv) == "" {
 		t.Skipf("set %s=1 to run the kernel-throughput guard (make bench-guard)", overheadGuardEnv)
 	}
-	data, err := os.ReadFile("BENCH.json")
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	var bench struct {
-		Results []struct {
-			Name         string  `json:"name"`
-			EventsPerSec float64 `json:"events_per_sec"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	baseline := make(map[string]float64)
-	for _, r := range bench.Results {
-		baseline[r.Name] = r.EventsPerSec
-	}
+	bench := benchBaselines(t)
 
 	// Host-speed normalization (see hostSpeedScale): without it, the
 	// host's minute-scale clock drift dwarfs the guard's 5% tolerance.
-	hostScale, refNow := hostSpeedScale(baseline["HostReference"])
+	refRecorded := bench[dcfguard.HostReference].EventsPerSec
+	hostScale, refNow := hostSpeedScale(refRecorded)
 	t.Logf("host reference: recorded %.0f, now %.0f, floor scale %.3f",
-		baseline["HostReference"], refNow, hostScale)
+		refRecorded, refNow, hostScale)
 
-	for name, s := range benchGuardTargets() {
-		name, s := name, s
+	for _, w := range dcfguard.BenchGuarded() {
+		// The two v2 workloads, the default channel: they cover the
+		// slab kernel, the calendar queue, and the batched counter-RNG
+		// fast path. RunRandom40 is the v1 pair the overhead guard reads.
+		if w.Name != "RunRandom40V2" && w.Name != "RunRandom400" {
+			continue
+		}
+		name, s := w.Name, w.Scenario
 		t.Run(name, func(t *testing.T) {
-			base := baseline[name]
+			base := bench[name].EventsPerSec
 			if base <= 0 {
 				t.Fatalf("baseline: no events_per_sec for %s in BENCH.json", name)
 			}
@@ -78,15 +76,13 @@ func TestKernelThroughputGuard(t *testing.T) {
 					time.Sleep(500 * time.Millisecond)
 				}
 				for i := 0; i < 3; i++ {
-					wall0, cpu0 := time.Now(), cpuNow()
-					r, err := dcfguard.Run(s, uint64(i+1))
+					var r dcfguard.Result
+					d, err := dcfguard.BenchTime(func() (err error) {
+						r, err = dcfguard.Run(s, uint64(i+1))
+						return err
+					})
 					if err != nil {
 						t.Fatal(err)
-					}
-					wall, cpu := time.Since(wall0), cpuNow()-cpu0
-					d := wall
-					if cpu > 0 && cpu < d {
-						d = cpu
 					}
 					if secs := d.Seconds(); secs > 0 {
 						if rate := float64(r.EventsFired) / secs; rate > best {

@@ -12,8 +12,8 @@ import (
 // Reported custom metrics: sim_s/op is simulated seconds per wall
 // iteration's scenario-run; events/op the kernel events executed.
 
-// benchConfig is the per-iteration figure configuration, shared with
-// the `macsim bench` subcommand via BenchFigConfig.
+// benchConfig is the per-iteration figure configuration,
+// BenchFigConfig.
 func benchConfig() Config { return BenchFigConfig() }
 
 // benchScenario runs one scenario per iteration and reports kernel

@@ -20,6 +20,7 @@ import (
 	"dcfguard"
 	"dcfguard/internal/analytic"
 	"dcfguard/internal/atomicio"
+	"dcfguard/internal/experiment"
 )
 
 // drawCharts mirrors the -chart flag for emit; combined accumulates the
@@ -77,6 +78,16 @@ func run() error {
 		cfg.Channel = dcfguard.ChannelV1
 	default:
 		return fmt.Errorf("unknown channel model %q (want v1 or v2)", *channel)
+	}
+	if *journal != "" {
+		// Cells are keyed by (scenario name, seed), and the names do not
+		// carry the duration or channel: pin the whole config, minus the
+		// seeds so that a rerun with more seeds resumes.
+		pin := cfg
+		pin.Seeds = nil
+		if err := experiment.ClaimJournal(*journal, pin); err != nil {
+			return fmt.Errorf("-journal: %w", err)
+		}
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

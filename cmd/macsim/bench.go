@@ -2,318 +2,75 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"regexp"
 	"runtime"
-	"strings"
-	"syscall"
-	"testing"
 	"time"
 
 	"dcfguard"
 	"dcfguard/internal/atomicio"
 )
 
-// benchEntry is one BENCH.json record. Field names follow benchstat's
-// vocabulary (ns/op, allocs/op, B/op) so the file can be consumed by
-// perf-tracking tooling across PRs; the subcommand additionally prints
-// standard `BenchmarkName N ... ns/op` lines to stdout, which benchstat
-// parses directly (`macsim bench | tee bench.txt; benchstat bench.txt`).
-type benchEntry struct {
-	Name         string  `json:"name"`
-	Iterations   int     `json:"iterations"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	EventsPerOp  float64 `json:"events_per_op,omitempty"`
-	EventsPerSec float64 `json:"events_per_sec,omitempty"`
-	// SpeedupVs1Shard is filled on "<Name>Sharded" entries whose serial
-	// pair "<Name>" ran in the same suite: sharded events/sec over serial
-	// events/sec. On a single-core host (see the file's gomaxprocs) it
-	// measures barrier overhead, not parallel speedup.
-	SpeedupVs1Shard float64 `json:"speedup_vs_1shard,omitempty"`
-}
+// benchRuns is how many runs time each guarded workload, over seeds
+// 1..benchSeeds in turn; the fastest run is the baseline. Like the
+// guards' best-of batches, the minimum records what the machine can do
+// rather than its noisiest moment.
+const (
+	benchRuns  = 15
+	benchSeeds = 5
+)
 
-// benchFile is the BENCH.json schema.
-type benchFile struct {
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	// GOMAXPROCS qualifies the sharded-kernel numbers: speedups are only
-	// meaningful when the host actually ran shards in parallel.
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Quick      bool         `json:"quick,omitempty"`
-	Results    []benchEntry `json:"results"`
-}
-
-// runBench executes the canonical suite (see BenchTargets) and writes
-// BENCH.json.
+// runBench records ./BENCH.json: one entry per workload a guard reads
+// (dcfguard.BenchGuarded), each the fastest of benchRuns runs timed by
+// dcfguard.BenchTime, plus the HostReference probe the guards scale
+// their bounds by. The fastest run gives both ns_per_op and
+// events_per_sec.
 func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	out := fs.String("out", "BENCH.json", "output path for the JSON results")
-	filter := fs.String("filter", "", "regexp selecting target names (default all)")
-	quick := fs.Bool("quick", false, "one timed iteration per target instead of testing.Benchmark (CI gate)")
-	cpuProf := fs.String("cpuprofile", "", "write a CPU profile of the whole suite to this file")
-	memProf := fs.String("memprofile", "", "write a heap profile to this file at exit")
-	execTr := fs.String("trace", "", "write a Go execution trace to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
+	if len(args) > 0 {
+		return fmt.Errorf("takes no flags or arguments, got %q", args)
 	}
-	var re *regexp.Regexp
-	if *filter != "" {
-		var err error
-		if re, err = regexp.Compile(*filter); err != nil {
-			return fmt.Errorf("bad -filter: %w", err)
-		}
-	}
-	stopProf, err := startProfiling(*cpuProf, *memProf, *execTr)
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-
-	baseline := loadBaseline(*out)
-	file := benchFile{
+	file := dcfguard.BenchFile{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //detlint:allow wallclock -- benchmark provenance stamp
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Quick:       *quick,
 	}
-	for _, target := range dcfguard.BenchTargets() {
-		if re != nil && !re.MatchString(target.Name) {
-			continue
+	for _, w := range dcfguard.BenchGuarded() {
+		var fastest time.Duration
+		var events uint64
+		for i := 0; i < benchRuns; i++ {
+			var r dcfguard.Result
+			d, err := dcfguard.BenchTime(func() (err error) {
+				r, err = dcfguard.Run(w.Scenario, uint64(i%benchSeeds+1))
+				return err
+			})
+			if err != nil {
+				return fmt.Errorf("%s: %w", w.Name, err)
+			}
+			if i == 0 || d < fastest {
+				fastest, events = d, r.EventsFired
+			}
 		}
-		entry, err := measure(target, *quick)
-		if err != nil {
-			return fmt.Errorf("%s: %w", target.Name, err)
-		}
-		file.Results = append(file.Results, entry)
-		line := fmt.Sprintf("Benchmark%s\t%8d\t%12.0f ns/op\t%8d B/op\t%8d allocs/op",
-			entry.Name, entry.Iterations, entry.NsPerOp, entry.BytesPerOp, entry.AllocsPerOp)
-		if entry.EventsPerOp > 0 {
-			line += fmt.Sprintf("\t%12.0f events/op\t%12.0f events/sec",
-				entry.EventsPerOp, entry.EventsPerSec)
-		}
-		fmt.Println(line)
-		if base, ok := baseline[entry.Name]; ok {
-			fmt.Println(deltaLine(base, entry))
-		}
+		file.Results = append(file.Results, dcfguard.BenchEntry{
+			Name:         w.Name,
+			NsPerOp:      fastest.Nanoseconds(),
+			EventsPerSec: float64(events) / fastest.Seconds(),
+		})
 	}
-	if len(file.Results) == 0 {
-		return fmt.Errorf("no targets match filter %q", *filter)
-	}
-	fillShardSpeedups(file.Results)
-	// The host-reference entry calibrates the throughput guard: it
-	// rescales the recorded floors by how fast this machine runs a pure
-	// ALU loop at guard time versus now (see dcfguard.HostReferenceRate).
-	ref := benchEntry{
-		Name:         "HostReference",
-		Iterations:   1,
-		EventsPerOp:  float64(uint64(1) << 23),
+	file.Results = append(file.Results, dcfguard.BenchEntry{
+		Name:         dcfguard.HostReference,
 		EventsPerSec: dcfguard.HostReferenceRate(),
-	}
-	file.Results = append(file.Results, ref)
-	fmt.Printf("Benchmark%s\t%8d\t%12.0f events/sec\n", ref.Name, ref.Iterations, ref.EventsPerSec)
-	if base, ok := baseline[ref.Name]; ok && base.EventsPerSec > 0 {
-		fmt.Printf("  vs baseline:\tevents/sec %s\n", pctDelta(base.EventsPerSec, ref.EventsPerSec))
+	})
+	for _, e := range file.Results {
+		fmt.Printf("%-14s %12d ns/op %14.0f events/sec\n", e.Name, e.NsPerOp, e.EventsPerSec)
 	}
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := atomicio.WriteFile(*out, data, 0o644); err != nil {
+	if err := atomicio.WriteFile("BENCH.json", append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d targets)\n", *out, len(file.Results))
+	fmt.Printf("wrote BENCH.json (%d entries)\n", len(file.Results))
 	return nil
-}
-
-// fillShardSpeedups pairs every "<Name>Sharded" entry with its serial
-// "<Name>" partner from the same run and records the events/sec ratio,
-// the suite's sharded-kernel headline number.
-func fillShardSpeedups(results []benchEntry) {
-	serial := make(map[string]float64, len(results))
-	for _, e := range results {
-		serial[e.Name] = e.EventsPerSec
-	}
-	for i := range results {
-		e := &results[i]
-		base, ok := strings.CutSuffix(e.Name, "Sharded")
-		if !ok || e.EventsPerSec <= 0 {
-			continue
-		}
-		if s := serial[base]; s > 0 {
-			e.SpeedupVs1Shard = e.EventsPerSec / s
-			fmt.Printf("  %s: %.2fx events/sec vs %s\n", e.Name, e.SpeedupVs1Shard, base)
-		}
-	}
-}
-
-// loadBaseline reads the committed results at path (normally the same
-// BENCH.json the run is about to overwrite) so each fresh measurement
-// can be printed with deltas against the previous recording. A missing
-// or malformed file just disables the deltas.
-func loadBaseline(path string) map[string]benchEntry {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var prev benchFile
-	if err := json.Unmarshal(data, &prev); err != nil {
-		fmt.Fprintf(os.Stderr, "macsim bench: ignoring baseline %s: %v\n", path, err)
-		return nil
-	}
-	base := make(map[string]benchEntry, len(prev.Results))
-	for _, e := range prev.Results {
-		base[e.Name] = e
-	}
-	return base
-}
-
-// deltaLine renders one comparison row against the baseline entry.
-func deltaLine(base, cur benchEntry) string {
-	line := fmt.Sprintf("  vs baseline:\tns/op %s\tallocs/op %s",
-		pctDelta(base.NsPerOp, cur.NsPerOp),
-		pctDelta(float64(base.AllocsPerOp), float64(cur.AllocsPerOp)))
-	if base.EventsPerSec > 0 && cur.EventsPerSec > 0 {
-		line += fmt.Sprintf("\tevents/sec %s", pctDelta(base.EventsPerSec, cur.EventsPerSec))
-	}
-	return line
-}
-
-// pctDelta formats the relative change from base to cur.
-func pctDelta(base, cur float64) string {
-	if base == 0 { //detlint:allow floateq -- exact-zero sentinel guarding the division, not a state comparison
-		return "n/a"
-	}
-	return fmt.Sprintf("%+.1f%%", (cur-base)/base*100)
-}
-
-// benchBatches is how many independent testing.Benchmark batches
-// measure runs per target, keeping the fastest. One batch on a shared
-// host conflates the kernel's cost with whatever the hypervisor
-// scheduled alongside it; best-of-N with per-batch min(wall, CPU) is
-// the same noisy-host discipline the overhead and throughput guards
-// use, so BENCH.json records the machine's capability rather than its
-// worst moment.
-const benchBatches = 3
-
-// cpuTime returns this process's cumulative user+system CPU time.
-func cpuTime() time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
-}
-
-// measure times one target: a single hand-timed iteration in quick
-// mode, best-of-benchBatches testing.Benchmark runs otherwise.
-func measure(target dcfguard.BenchTarget, quick bool) (benchEntry, error) {
-	if quick {
-		return measureQuick(target)
-	}
-	var best benchEntry
-	for batch := 0; batch < benchBatches; batch++ {
-		var runErr error
-		var events uint64
-		var iters int
-		var spent, fastestRun time.Duration
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			events, iters = 0, b.N
-			fastestRun = 0
-			wall0, cpu0 := time.Now(), cpuTime() //detlint:allow wallclock -- host benchmarking measures real wall time by design
-			for i := 0; i < b.N; i++ {
-				rw0, rc0 := time.Now(), cpuTime() //detlint:allow wallclock -- host benchmarking measures real wall time by design
-				ev, err := target.Run(i)
-				if err != nil {
-					runErr = err
-					b.FailNow()
-				}
-				// Per-run min(wall, CPU), for the peak-throughput
-				// metric below. rusage reads cost ~1 µs against runs
-				// of tens of milliseconds.
-				rw, rc := time.Since(rw0), cpuTime()-rc0 //detlint:allow wallclock -- host benchmarking measures real wall time by design
-				if rc > 0 && rc < rw {
-					rw = rc
-				}
-				if fastestRun == 0 || rw < fastestRun {
-					fastestRun = rw
-				}
-				events += ev
-			}
-			// min(wall, CPU): rusage strips hypervisor steal, wall
-			// strips any accounting skew the other way.
-			wall, cpu := time.Since(wall0), cpuTime()-cpu0 //detlint:allow wallclock -- host benchmarking measures real wall time by design
-			spent = wall
-			if cpu > 0 && cpu < wall {
-				spent = cpu
-			}
-		})
-		if runErr != nil {
-			return benchEntry{}, runErr
-		}
-		entry := benchEntry{
-			Name:       target.Name,
-			Iterations: res.N,
-			// Whole nanoseconds: ns_per_op is declared int64 by
-			// downstream consumers (the overhead guard among them).
-			NsPerOp:     float64(spent.Nanoseconds() / int64(iters)),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-		}
-		if events > 0 && iters > 0 {
-			entry.EventsPerOp = float64(events) / float64(iters)
-			// events_per_sec is peak sustained throughput — the batch's
-			// fastest single run — NOT events_per_op/ns_per_op. That is
-			// deliberately the exact quantity TestKernelThroughputGuard
-			// replays (best run of a batch, min(wall, CPU)); recording
-			// the batch average instead would hand the guard's 5 %
-			// tolerance an extra, host-noise-sized cushion.
-			if fastestRun > 0 {
-				entry.EventsPerSec = entry.EventsPerOp / float64(fastestRun.Nanoseconds()) * 1e9
-			}
-		}
-		if batch == 0 || entry.NsPerOp < best.NsPerOp {
-			best = entry
-		}
-	}
-	return best, nil
-}
-
-// measureQuick runs the target exactly once, timing wall clock and
-// reading alloc deltas from runtime.MemStats. Coarser than
-// testing.Benchmark but fast enough for a pre-merge gate.
-func measureQuick(target dcfguard.BenchTarget) (benchEntry, error) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now() //detlint:allow wallclock -- host benchmarking measures real wall time by design
-	events, err := target.Run(0)
-	elapsed := time.Since(start) //detlint:allow wallclock -- host benchmarking measures real wall time by design
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return benchEntry{}, err
-	}
-	entry := benchEntry{
-		Name:        target.Name,
-		Iterations:  1,
-		NsPerOp:     float64(elapsed.Nanoseconds()),
-		AllocsPerOp: int64(after.Mallocs - before.Mallocs),
-		BytesPerOp:  int64(after.TotalAlloc - before.TotalAlloc),
-	}
-	if events > 0 {
-		entry.EventsPerOp = float64(events)
-		if entry.NsPerOp > 0 {
-			entry.EventsPerSec = entry.EventsPerOp / entry.NsPerOp * 1e9
-		}
-	}
-	return entry, nil
 }

@@ -14,22 +14,18 @@
 //	macsim -random 40 -pm 80 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	macsim -protocol correct -trace exec.trace
 //
-// The bench subcommand runs the canonical benchmark suite (the same
-// workloads as `go test -bench .`) and records BENCH.json:
+// The bench subcommand, which takes no flags, re-records ./BENCH.json:
+// the baselines the machine-local guards read (`make bench-record`).
+// Per-workload timing is `go test -bench`'s job:
 //
-//	macsim bench                  # full suite, testing.Benchmark timing
-//	macsim bench -quick           # one iteration per target (CI gate)
-//	macsim bench -filter 'Run.*'  # kernel-throughput targets only
+//	macsim bench
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
@@ -146,11 +142,14 @@ type cli struct {
 
 // localOnlyFlags are read only by a local run; -submit refuses them
 // rather than ignoring them. submitOnlyFlags are the converse.
+// singleRunFlags print or write one run's frames or senders, so a
+// local -seeds sweep refuses them.
 var (
 	localOnlyFlags = []string{"timeline", "pcap", "series", "per-node", "journal", "seedtimeout",
 		"metrics", "trace-events", "trace-out", "diag-csv", "explain", "explain-json", "progress", "debug-addr",
 		"cpuprofile", "memprofile", "trace"}
 	submitOnlyFlags = []string{"job", "tenant", "follow"}
+	singleRunFlags  = []string{"timeline", "pcap", "per-node"}
 )
 
 // parseCLI parses macsim's flags and rejects combinations that one of
@@ -176,7 +175,7 @@ func parseCLI(args []string) (*cli, error) {
 	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile to this file at exit")
 	fs.StringVar(&c.execTr, "trace", "", "write a Go execution trace to this file")
-	fs.StringVar(&c.csvPath, "csv", "", "with -seeds: write raw per-run metrics to this CSV file")
+	fs.StringVar(&c.csvPath, "csv", "", "write raw per-run metrics (one row per seed) to this CSV file")
 	fs.StringVar(&c.channel, "channel", "v2", "channel model: v2 (counter RNG + spatial index, default), v1 (paper-exact sequential stream), or v3 (v2 + propagation delay; required for -shards)")
 	fs.IntVar(&c.shards, "shards", 1, "partition the nodes onto this many parallel schedulers (requires -channel v3; 1 = serial)")
 	fs.BoolVar(&c.scaled, "scaled", false, "with -random: scale the arena with node count (constant density) instead of the fixed Figure-9 area")
@@ -197,23 +196,33 @@ func parseCLI(args []string) (*cli, error) {
 		return nil, err
 	}
 
+	// set lists which of names the command line set, as flags.
+	set := func(names []string) (bad []string) {
+		fs.Visit(func(f *flag.Flag) {
+			for _, name := range names {
+				if f.Name == name {
+					bad = append(bad, "-"+name)
+				}
+			}
+		})
+		return bad
+	}
 	wrongMode := localOnlyFlags
 	if c.submit == "" {
 		wrongMode = submitOnlyFlags
 	}
-	var bad []string
-	fs.Visit(func(f *flag.Flag) {
-		for _, name := range wrongMode {
-			if f.Name == name {
-				bad = append(bad, "-"+name)
-			}
-		}
-	})
+	bad := set(wrongMode)
+	var oneRun []string
+	if c.seeds > 0 {
+		oneRun = set(singleRunFlags)
+	}
 	switch {
 	case len(bad) > 0 && c.submit != "":
 		return nil, fmt.Errorf("-submit runs on the daemon, which does not read %s", strings.Join(bad, ", "))
 	case len(bad) > 0:
 		return nil, fmt.Errorf("%s require -submit", strings.Join(bad, ", "))
+	case len(oneRun) > 0:
+		return nil, fmt.Errorf("%s cannot be combined with -seeds (they print one run); use a single -seed run", strings.Join(oneRun, ", "))
 	case c.pcapPath != "" && c.timeline == 0:
 		return nil, fmt.Errorf("-pcap requires -timeline N")
 	case c.journal != "" && c.seeds == 0:
@@ -341,8 +350,9 @@ func run(args []string) error {
 		return err
 	}
 	if c.journal != "" {
-		if err := claimJournal(c.journal, sp); err != nil {
-			return err
+		// The seed count is not part of the spec: more seeds resume.
+		if err := experiment.ClaimJournal(c.journal, sp); err != nil {
+			return fmt.Errorf("-journal: %w", err)
 		}
 	}
 	o, err := setupObs(&s, &c.obs, c.seeds > 0)
@@ -368,40 +378,6 @@ func run(args []string) error {
 		err = perr
 	}
 	return err
-}
-
-// claimJournal ties a journal directory to one scenario: the first run
-// writes the spec's canonical JSON to <dir>/spec.json, and a later run
-// resumes only if its spec is byte-identical. Cells are keyed by
-// (scenario name, seed) alone, so without this check a rerun with a
-// different -pm would report the old cells as its own. The seed count
-// is not part of the spec: rerunning with more seeds resumes.
-func claimJournal(dir string, sp experiment.ScenarioSpec) error {
-	want, err := json.Marshal(sp)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "spec.json")
-	have, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if !bytes.Equal(have, want) {
-			return fmt.Errorf("-journal: %s records a different scenario; use a fresh directory", path)
-		}
-		return nil
-	case !os.IsNotExist(err):
-		return fmt.Errorf("-journal: %w", err)
-	}
-	if cells, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(cells) > 0 {
-		return fmt.Errorf("-journal: %s holds %d cells but no spec.json, so their scenario is unknown; use a fresh directory", dir, len(cells))
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("-journal: %w", err)
-	}
-	if err := atomicio.WriteFile(path, want, 0o644); err != nil {
-		return fmt.Errorf("-journal: %w", err)
-	}
-	return nil
 }
 
 // reportFailure prints one seed's diagnostic dump to stderr.
@@ -471,6 +447,12 @@ func runSingle(s dcfguard.Scenario, c *cli) error {
 			}
 			fmt.Printf("wrote %s\n", c.pcapPath)
 		}
+	}
+	if c.csvPath != "" {
+		if err := atomicio.WriteFile(c.csvPath, []byte(dcfguard.ResultsCSV([]dcfguard.Result{r})), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", c.csvPath)
 	}
 	return nil
 }

@@ -107,6 +107,9 @@ func TestFlagsToScenario(t *testing.T) {
 		{name: "channel unknown", args: []string{"-channel", "v9"}, wantErr: "unknown channel model"},
 		{name: "pcap without timeline", args: []string{"-pcap", "f.pcap"}, wantErr: "-pcap requires -timeline"},
 		{name: "journal without seeds", args: []string{"-journal", "j"}, wantErr: "-journal requires -seeds"},
+		{name: "per-node with seeds", args: []string{"-seeds", "2", "-per-node"}, wantErr: "-per-node cannot be combined with -seeds"},
+		{name: "timeline and pcap with seeds", args: []string{"-seeds", "2", "-timeline", "5", "-pcap", "x.pcap"},
+			wantErr: "-pcap, -timeline cannot be combined with -seeds"},
 		{name: "negative mis-node", args: []string{"-mis-node", "-2"}, wantErr: "-mis-node -2"},
 		{name: "negative seeds", args: []string{"-seeds", "-3"}, wantErr: "-seeds -3"},
 		{name: "mis-node past senders", args: []string{"-mis-node", "99"}, wantErr: "misbehaving id 99 outside senders 1..8"},
@@ -197,7 +200,8 @@ func runCaptured(t *testing.T, args ...string) (string, error) {
 
 // TestLocalCSVMatchesSubmit pins the -submit contract: the results.csv a
 // daemon job produces is byte-identical to the CSV the same flags write
-// locally, scenario column included.
+// locally, scenario column included, for a -seeds sweep and a single
+// run alike.
 func TestLocalCSVMatchesSubmit(t *testing.T) {
 	srv, err := serve.NewServer(serve.Options{DataDir: t.TempDir(), Workers: 2})
 	if err != nil {
@@ -209,11 +213,12 @@ func TestLocalCSVMatchesSubmit(t *testing.T) {
 
 	dir := t.TempDir()
 	for _, flags := range [][]string{
-		{"-pm", "80"},
-		{"-protocol", "802.11", "-pm", "80", "-two-flow"},
-		{"-random", "40", "-mis", "5", "-pm", "60"},
+		{"-pm", "80", "-seeds", "2"},
+		{"-protocol", "802.11", "-pm", "80", "-two-flow", "-seeds", "2"},
+		{"-random", "40", "-mis", "5", "-pm", "60", "-seeds", "2"},
+		{"-pm", "40", "-seed", "3"},
 	} {
-		args := append(flags, "-duration", "1s", "-seeds", "2")
+		args := append(flags, "-duration", "1s")
 		tag := strings.Join(flags, "")
 		local := filepath.Join(dir, tag+"-local.csv")
 		remote := filepath.Join(dir, tag+"-submit.csv")

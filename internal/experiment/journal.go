@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -57,6 +58,38 @@ type SweepReport struct {
 
 // OK reports whether every cell produced a result.
 func (r *SweepReport) OK() bool { return len(r.Failures) == 0 }
+
+// ClaimJournal ties a journal directory to one configuration: the
+// first run writes pin's JSON to <dir>/spec.json, and a later run
+// resumes only if its pin marshals to the same bytes. RunSweep keys
+// cells by (scenario name, seed) alone, so without this check a rerun
+// with, say, a different PM or duration would report the old cells as
+// its own. Callers leave the seed count out of pin, so that a rerun
+// with more seeds resumes.
+func ClaimJournal(dir string, pin any) error {
+	want, err := json.Marshal(pin)
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(dir, "spec.json")
+	have, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if !bytes.Equal(have, want) {
+			return fmt.Errorf("%s records a different configuration; use a fresh directory", path)
+		}
+		return nil
+	case !os.IsNotExist(err):
+		return err
+	}
+	if cells, _ := filepath.Glob(filepath.Join(dir, "*.json")); len(cells) > 0 {
+		return fmt.Errorf("%s holds %d cells but no spec.json, so their configuration is unknown; use a fresh directory", dir, len(cells))
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return atomicio.WriteFile(path, want, 0o644)
+}
 
 // CellFileName maps a (scenario name, seed) journal key to its file
 // name. Scenario names are sanitised to a filesystem-safe alphabet; the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dcfguard/internal/atomicio"
+	"dcfguard/internal/sim"
 	"dcfguard/internal/topo"
 )
 
@@ -236,5 +237,53 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 	if resultChecksum(back) != resultChecksum(r) {
 		t.Fatal("Result changed across a JSON round-trip")
+	}
+}
+
+// TestClaimJournalConfig: cmd/figures pins its Config minus Seeds. A
+// rerun that changes the duration or the channel over the same journal
+// is refused, since its fault-sweep cells carry the same names; the
+// same config with more seeds resumes the finished cells.
+func TestClaimJournalConfig(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "j")
+	claim := func(cfg Config) error {
+		pin := cfg
+		pin.Seeds = nil
+		return ClaimJournal(dir, pin)
+	}
+	cfg := QuickConfig()
+	cfg.Duration = sim.Second
+	cfg.Seeds = Seeds(1)
+	cfg.FERs = []float64{0.1}
+	if err := claim(cfg); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := ExtFaultTolerance(cfg, SweepOptions{JournalDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ran != 2 {
+		t.Fatalf("first sweep ran %d cells, want 2", rep.Ran)
+	}
+
+	longer, v1 := cfg, cfg
+	longer.Duration = 3 * sim.Second
+	v1.Channel = ChannelV1
+	for name, c := range map[string]Config{"duration": longer, "channel": v1} {
+		if err := claim(c); err == nil || !strings.Contains(err.Error(), "records a different configuration") {
+			t.Fatalf("changed %s over the journal: err %v", name, err)
+		}
+	}
+
+	more := cfg
+	more.Seeds = Seeds(2)
+	if err := claim(more); err != nil {
+		t.Fatalf("more seeds: %v", err)
+	}
+	if _, rep, err = ExtFaultTolerance(more, SweepOptions{JournalDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Resumed != 2 || rep.Ran != 2 {
+		t.Fatalf("more seeds: resumed %d, ran %d; want 2 and 2", rep.Resumed, rep.Ran)
 	}
 }

@@ -314,74 +314,6 @@ func DecodeScenarioSpec(r io.Reader) (ScenarioSpec, error) {
 	return sp, nil
 }
 
-// ConfigSpec is the wire form of Config, the figure-generator scale
-// block. Absent fields take DefaultConfig's values; Seeds counts seeds
-// 1..n while SeedList pins an explicit set (at most one of the two).
-type ConfigSpec struct {
-	Duration     string    `json:"duration,omitempty"`
-	Seeds        int       `json:"seeds,omitempty"`
-	SeedList     []uint64  `json:"seed_list,omitempty"`
-	PMs          []int     `json:"pms,omitempty"`
-	NetworkSizes []int     `json:"network_sizes,omitempty"`
-	Fig8PMs      []int     `json:"fig8_pms,omitempty"`
-	FERs         []float64 `json:"fers,omitempty"`
-	Channel      string    `json:"channel,omitempty"`
-}
-
-// ToConfig materialises the spec over DefaultConfig.
-func (cs ConfigSpec) ToConfig() (Config, error) {
-	c := DefaultConfig()
-	var err error
-	if cs.Duration != "" {
-		if c.Duration, err = parseSimTime("duration", cs.Duration); err != nil {
-			return Config{}, err
-		}
-	}
-	if cs.Seeds != 0 && len(cs.SeedList) > 0 {
-		return Config{}, fmt.Errorf("experiment: config spec sets both seeds and seed_list")
-	}
-	if cs.Seeds < 0 {
-		return Config{}, fmt.Errorf("experiment: config spec seeds %d", cs.Seeds)
-	}
-	if cs.Seeds > 0 {
-		c.Seeds = Seeds(cs.Seeds)
-	}
-	if len(cs.SeedList) > 0 {
-		c.Seeds = append([]uint64(nil), cs.SeedList...)
-	}
-	if cs.PMs != nil {
-		c.PMs = cs.PMs
-	}
-	if cs.NetworkSizes != nil {
-		c.NetworkSizes = cs.NetworkSizes
-	}
-	if cs.Fig8PMs != nil {
-		c.Fig8PMs = cs.Fig8PMs
-	}
-	if cs.FERs != nil {
-		c.FERs = cs.FERs
-	}
-	if c.Channel, err = ParseChannel(cs.Channel); err != nil {
-		return Config{}, err
-	}
-	return c, nil
-}
-
-// DecodeConfigSpec decodes one JSON config spec, rejecting unknown
-// fields and trailing garbage.
-func DecodeConfigSpec(r io.Reader) (ConfigSpec, error) {
-	var cs ConfigSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cs); err != nil {
-		return ConfigSpec{}, fmt.Errorf("experiment: decoding config spec: %w", err)
-	}
-	if err := trailingJSON(dec); err != nil {
-		return ConfigSpec{}, err
-	}
-	return cs, nil
-}
-
 func trailingJSON(dec *json.Decoder) error {
 	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("experiment: trailing data after spec")

@@ -179,33 +179,6 @@ func TestScenarioSpecValidation(t *testing.T) {
 	}
 }
 
-// TestConfigSpecRoundTrip: the figure-generator config materialises over
-// DefaultConfig and survives decode with unknown fields rejected.
-func TestConfigSpec(t *testing.T) {
-	cs, err := DecodeConfigSpec(strings.NewReader(
-		`{"duration": "5s", "seeds": 3, "pms": [0, 50], "channel": "v2"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := cs.ToConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Duration != 5*sim.Second || len(c.Seeds) != 3 || len(c.PMs) != 2 {
-		t.Fatalf("config: %+v", c)
-	}
-	def := DefaultConfig()
-	if len(c.NetworkSizes) != len(def.NetworkSizes) {
-		t.Fatal("defaults not applied")
-	}
-	if _, err := DecodeConfigSpec(strings.NewReader(`{"duraton": "5s"}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := (ConfigSpec{Seeds: 2, SeedList: []uint64{5}}).ToConfig(); err == nil {
-		t.Fatal("seeds + seed_list accepted")
-	}
-}
-
 // TestTopoSpecBuild: Build rejects every topology the generators would
 // panic on, and every spec it accepts builds without panicking.
 func TestTopoSpecBuild(t *testing.T) {

@@ -13,8 +13,8 @@ type Table struct {
 	// Notes carry caveats (parameters used, substitutions).
 	Notes []string
 	// Events is the total kernel event count across every run behind
-	// the table, so `macsim bench` can record events/op for figure
-	// targets. Not rendered.
+	// the table, so dcfbench can count the events behind a figure
+	// workload. Not rendered.
 	Events uint64
 }
 

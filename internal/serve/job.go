@@ -22,8 +22,8 @@ import (
 // the journal on restart, so kill -9 at any instant loses at most the
 // cells that were mid-flight — and those rerun to bit-identical results.
 
-// JobSpec is the submission wire format. Seeds and SeedList mirror
-// ConfigSpec: Seeds n runs seeds 1..n, SeedList pins an explicit set.
+// JobSpec is the submission wire format. Seeds n runs seeds 1..n;
+// SeedList pins an explicit set instead.
 type JobSpec struct {
 	// Name is the job's identity AND its directory key: resubmitting
 	// the same name with the same spec is idempotent, with a different

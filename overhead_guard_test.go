@@ -1,9 +1,7 @@
 package dcfguard_test
 
 import (
-	"encoding/json"
 	"os"
-	"syscall"
 	"testing"
 	"time"
 
@@ -18,35 +16,32 @@ import (
 // wall-time assertions are only meaningful on the machine that captured
 // the baseline — elsewhere the numbers compare different silicon.
 //
-// The estimator is built for a noisy host: each run contributes
-// min(wall, process-CPU) — contention inflates wall but not CPU burned —
-// and the minimum accumulates across batches with a pause between
-// failing ones, so a transient slow window (frequency scaling, a noisy
-// co-tenant) gets ridden out. A real regression raises the floor itself
-// and keeps failing no matter how many batches run.
+// The estimator is built for a noisy host: each run contributes its
+// dcfguard.BenchTime, min(wall, process CPU), and the minimum
+// accumulates across batches with a pause between failing ones, so a
+// transient slow window (frequency scaling, a noisy co-tenant) gets
+// ridden out. A real regression raises the floor itself and keeps
+// failing no matter how many batches run.
 
 const overheadGuardEnv = "DCFGUARD_OVERHEAD_GUARD"
 
-// cpuNow returns the process's cumulative user+system CPU time.
-func cpuNow() time.Duration {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
+// benchBaselines loads BENCH.json, the baselines every guard reads.
+func benchBaselines(t *testing.T) map[string]dcfguard.BenchEntry {
+	t.Helper()
+	base, err := dcfguard.LoadBench("BENCH.json")
+	if err != nil {
+		t.Fatalf("baseline: %v", err)
 	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	return base
 }
 
 // hostSpeedScale compares the machine's current HostReferenceRate
 // against the rate recorded in BENCH.json and returns (now/recorded,
 // now), capped at 1 — the shared host's clock drifts by tens of
-// percent across minutes, and both guards scale their thresholds by
+// percent across minutes, and the guards scale their thresholds by
 // this factor so a slow window is not mistaken for a regression (a
-// fast window never loosens a threshold). Returns (1, 0) when the
-// baseline predates the HostReference entry.
+// fast window never loosens a threshold).
 func hostSpeedScale(recorded float64) (scale, now float64) {
-	if recorded <= 0 {
-		return 1, 0
-	}
 	now = dcfguard.HostReferenceRate()
 	if now > 0 && now < recorded {
 		return now / recorded, now
@@ -58,32 +53,10 @@ func TestDisabledObservabilityOverhead(t *testing.T) {
 	if os.Getenv(overheadGuardEnv) == "" {
 		t.Skipf("set %s=1 to run the wall-time overhead guard (make obs)", overheadGuardEnv)
 	}
-	data, err := os.ReadFile("BENCH.json")
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	var bench struct {
-		Results []struct {
-			Name         string  `json:"name"`
-			NsPerOp      int64   `json:"ns_per_op"`
-			EventsPerSec float64 `json:"events_per_sec"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	var baseline int64
-	var hostRef float64
-	for _, r := range bench.Results {
-		switch r.Name {
-		case "RunRandom40":
-			baseline = r.NsPerOp
-		case "HostReference":
-			hostRef = r.EventsPerSec
-		}
-	}
-	if baseline == 0 {
-		t.Fatal("baseline: no RunRandom40 entry in BENCH.json")
+	bench := benchBaselines(t)
+	baseline, hostRef := bench["RunRandom40"].NsPerOp, bench[dcfguard.HostReference].EventsPerSec
+	if baseline <= 0 {
+		t.Fatal("baseline: no RunRandom40 ns_per_op in BENCH.json")
 	}
 
 	s := dcfguard.BenchScenarioRandom40()
@@ -101,14 +74,12 @@ func TestDisabledObservabilityOverhead(t *testing.T) {
 			time.Sleep(500 * time.Millisecond)
 		}
 		for i := 0; i < 5; i++ {
-			wall0, cpu0 := time.Now(), cpuNow()
-			if _, err := dcfguard.Run(s, uint64(i+1)); err != nil {
+			d, err := dcfguard.BenchTime(func() error {
+				_, err := dcfguard.Run(s, uint64(i+1))
+				return err
+			})
+			if err != nil {
 				t.Fatal(err)
-			}
-			wall, cpu := time.Since(wall0), cpuNow()-cpu0
-			d := wall
-			if cpu > 0 && cpu < d {
-				d = cpu
 			}
 			if d < best {
 				best = d

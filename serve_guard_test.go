@@ -1,7 +1,6 @@
 package dcfguard_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,7 +18,7 @@ import (
 // admission, fair scheduling, RunGuarded, journal + artifact writes —
 // must keep its per-cell time within 5% of the raw kernel's BENCH.json
 // ns_per_op. Same env gate and noisy-host estimator as the obs guard
-// (overhead_guard_test.go): min(wall, process-CPU) per batch, minimum
+// (overhead_guard_test.go): dcfguard.BenchTime per batch, minimum
 // accumulated across batches with pauses between failing ones, the
 // threshold stretched by hostSpeedScale. Run by `make serve`.
 
@@ -68,32 +67,10 @@ func TestServeOverheadGuard(t *testing.T) {
 	if os.Getenv(overheadGuardEnv) == "" {
 		t.Skipf("set %s=1 to run the daemon overhead guard (make serve)", overheadGuardEnv)
 	}
-	data, err := os.ReadFile("BENCH.json")
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	var bench struct {
-		Results []struct {
-			Name         string  `json:"name"`
-			NsPerOp      int64   `json:"ns_per_op"`
-			EventsPerSec float64 `json:"events_per_sec"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	var baseline int64
-	var hostRef float64
-	for _, r := range bench.Results {
-		switch r.Name {
-		case "RunRandom40V2":
-			baseline = r.NsPerOp
-		case "HostReference":
-			hostRef = r.EventsPerSec
-		}
-	}
-	if baseline == 0 {
-		t.Fatal("baseline: no RunRandom40V2 entry in BENCH.json")
+	bench := benchBaselines(t)
+	baseline, hostRef := bench["RunRandom40V2"].NsPerOp, bench[dcfguard.HostReference].EventsPerSec
+	if baseline <= 0 {
+		t.Fatal("baseline: no RunRandom40V2 ns_per_op in BENCH.json")
 	}
 
 	// One worker, so the three cells run back-to-back and the job's
@@ -113,17 +90,13 @@ func TestServeOverheadGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	seeds := []uint64{1, 2, 3}
-	// minCost is one timed run of f, estimated as min(wall, CPU).
+	// minCost is one timed run of f, estimated as dcfguard.BenchTime.
 	minCost := func(f func() error) time.Duration {
-		wall0, cpu0 := time.Now(), cpuNow()
-		if err := f(); err != nil {
+		d, err := dcfguard.BenchTime(f)
+		if err != nil {
 			t.Fatal(err)
 		}
-		wall, cpu := time.Since(wall0), cpuNow()-cpu0
-		if cpu > 0 && cpu < wall {
-			return cpu
-		}
-		return wall
+		return d
 	}
 
 	scale, refNow := hostSpeedScale(hostRef)
