@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build test vet lint audit race idle-history world-build bench-module bench bench-record bench-large bench-guard bench-paper check check-v2 faults obs serve shards clean
+.PHONY: all build test fmt vet lint audit race idle-history world-build bench-module bench bench-record bench-large bench-guard bench-paper check check-v2 faults obs serve shards clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# gofmt gate: every Go file under the repo root, benchmark/ included,
+# must be gofmt-clean; the offenders are listed on failure.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -156,9 +161,9 @@ shards:
 	$(GO) test -run 'Shardmail|Shardsafe' ./internal/lint
 
 # The pre-merge gate (see README "Pre-merge gate"), cheapest stages
-# first so failures surface in seconds: vet and the determinism
+# first so failures surface in seconds: gofmt, vet and the determinism
 # analyzers, then build, then the minutes-long race/bench stages.
-check: vet lint build bench-module race idle-history world-build check-v2 faults obs serve shards bench bench-guard
+check: fmt vet lint build bench-module race idle-history world-build check-v2 faults obs serve shards bench bench-guard
 
 clean:
 	$(GO) clean ./...

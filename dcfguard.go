@@ -155,7 +155,7 @@ type (
 	// Summary is a mean/stddev/CI95 snapshot of one metric.
 	Summary = stats.Summary
 	// SeriesPoint is one diagnosis time-series bin.
-	SeriesPoint = stats.SeriesPoint
+	SeriesPoint = experiment.SeriesPoint
 	// Trace is a frame-level timeline recorder (see Scenario.TraceEvents).
 	Trace = trace.Recorder
 )

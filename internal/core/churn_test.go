@@ -76,7 +76,7 @@ func TestMonitorChurnResync(t *testing.T) {
 
 			h.crashRestart(100 * sim.Millisecond)
 			preDeviations := len(h.deviations)
-			preClassified := len(h.classified)
+			preClassified := len(h.classified())
 
 			// First post-restart exchange: the wiped receiver has no
 			// assignment on record for this sender, so whatever it counts
@@ -88,7 +88,7 @@ func TestMonitorChurnResync(t *testing.T) {
 			if len(h.deviations) != preDeviations {
 				t.Fatalf("first post-restart exchange flagged a deviation (sender was counting state the receiver lost)")
 			}
-			if len(h.classified) != preClassified {
+			if len(h.classified()) != preClassified {
 				t.Fatalf("first post-restart exchange was classified with no window on record")
 			}
 
@@ -102,7 +102,7 @@ func TestMonitorChurnResync(t *testing.T) {
 					gotDeviations, tc.wantDeviations, len(h.deviations)-preDeviations)
 			}
 			gotMis := false
-			for _, mis := range h.classified[preClassified:] {
+			for _, mis := range h.classified()[preClassified:] {
 				gotMis = gotMis || mis
 			}
 			if gotMis != tc.wantMisbehaved {

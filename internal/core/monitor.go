@@ -10,20 +10,14 @@ import (
 	"dcfguard/internal/sim"
 )
 
-// Events are optional observation callbacks for metrics. Nil fields are
-// skipped.
+// Events are optional observation callbacks. Nil fields are skipped.
+// Per-packet verdicts and attempt-verification proofs are not callbacks:
+// they are the "window" and "proven" records on the CatDiagnosis trace
+// bus (see Instrument), which is what run metrics count.
 type Events struct {
-	// OnClassified fires once per packet when the diagnosis scheme
-	// evaluates it: misbehaving is the scheme's verdict for the packet,
-	// diff the B_exp − B_act stored in the window.
-	OnClassified func(sender frame.NodeID, misbehaving bool, diff float64, now sim.Time)
 	// OnDeviation fires when equation (1) flags a transmission as
 	// deviating; penalty is the slots added to the next assignment.
 	OnDeviation func(sender frame.NodeID, deviation float64, penalty int, now sim.Time)
-	// OnProvenMisbehavior fires when attempt-number verification
-	// catches a sender red-handed (a retransmission that did not
-	// increment the attempt field).
-	OnProvenMisbehavior func(sender frame.NodeID, now sim.Time)
 }
 
 // Monitor is the paper's receiver: it assigns backoff values to senders,
@@ -253,9 +247,6 @@ func (m *Monitor) handleOpening(f frame.Frame, start, end sim.Time) (bool, int) 
 						Parent: r.assignRef,
 					})
 				}
-				if m.events.OnProvenMisbehavior != nil {
-					m.events.OnProvenMisbehavior(f.Src, end)
-				}
 			}
 			r.verifyPending = false
 		case f.Seq > r.verifySeq:
@@ -406,9 +397,6 @@ func (m *Monitor) check(r *senderRecord, rts frame.Frame, start, end sim.Time) {
 		// Learn from the sum after judging it, so a packet never moves
 		// its own goalposts.
 		m.adaptive.Observe(sum)
-	}
-	if m.events.OnClassified != nil {
-		m.events.OnClassified(rts.Src, r.diagnosed, diff, end)
 	}
 }
 

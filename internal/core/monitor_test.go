@@ -5,6 +5,7 @@ import (
 
 	"dcfguard/internal/frame"
 	"dcfguard/internal/mac"
+	"dcfguard/internal/obs"
 	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
 )
@@ -19,29 +20,82 @@ type monitorHarness struct {
 	seq      uint32
 	assigned int
 
-	classified []bool
-	diffs      []float64
+	diagnosis  *obs.CaptureSink
 	deviations []float64
 	penalties  []int
-	proofs     int
 }
 
 func newHarness(params Params) *monitorHarness {
 	h := &monitorHarness{mp: mac.DefaultParams(), assigned: -1}
 	events := Events{
-		OnClassified: func(_ frame.NodeID, mis bool, diff float64, _ sim.Time) {
-			h.classified = append(h.classified, mis)
-			h.diffs = append(h.diffs, diff)
-		},
 		OnDeviation: func(_ frame.NodeID, dev float64, pen int, _ sim.Time) {
 			h.deviations = append(h.deviations, dev)
 			h.penalties = append(h.penalties, pen)
 		},
-		OnProvenMisbehavior: func(frame.NodeID, sim.Time) { h.proofs++ },
 	}
 	h.m = NewMonitor(9, params, h.mp, rng.New(42), events)
+	h.diagnosis = captureDiagnosis(h.m)
 	h.now = sim.Millisecond
 	return h
+}
+
+// captureDiagnosis subscribes a capture sink to m's CatDiagnosis
+// records: the per-packet "window" verdicts and the "proven" catches.
+func captureDiagnosis(m *Monitor) *obs.CaptureSink {
+	c := obs.NewCaptureSink()
+	bus := &obs.Bus{}
+	bus.Subscribe(obs.CategorySet(0).Set(obs.CatDiagnosis), c)
+	m.Instrument(nil, bus)
+	return c
+}
+
+// classified returns the verdict of every classified packet, in order.
+func (h *monitorHarness) classified() []bool {
+	var out []bool
+	for _, r := range h.diagnosis.Records() {
+		if r.Event == "window" {
+			out = append(out, r.Aux == "diagnosed")
+		}
+	}
+	return out
+}
+
+// diffs returns the B_exp − B_act of every classified packet, in order.
+func (h *monitorHarness) diffs() []float64 {
+	var out []float64
+	for _, r := range h.diagnosis.Records() {
+		if r.Event == "window" {
+			out = append(out, r.A)
+		}
+	}
+	return out
+}
+
+// proofs counts the attempt-verification catches.
+func (h *monitorHarness) proofs() int {
+	n := 0
+	for _, r := range h.diagnosis.Records() {
+		if r.Event == "proven" {
+			n++
+		}
+	}
+	return n
+}
+
+// verdicts counts each sender's classified packets in the captured
+// records by verdict.
+func verdicts(c *obs.CaptureSink) (mis, ok map[frame.NodeID]int) {
+	mis, ok = make(map[frame.NodeID]int), make(map[frame.NodeID]int)
+	for _, r := range c.Records() {
+		switch {
+		case r.Event != "window":
+		case r.Aux == "diagnosed":
+			mis[r.Peer]++
+		default:
+			ok[r.Peer]++
+		}
+	}
+	return mis, ok
 }
 
 // exchange runs one full RTS→ACK exchange for sender 1, with the RTS
@@ -85,8 +139,8 @@ func TestMonitorFirstPacketUnchecked(t *testing.T) {
 	if assigned < 0 || assigned > 31 {
 		t.Fatalf("first assignment = %d, want [0, 31]", assigned)
 	}
-	if len(h.classified) != 0 {
-		t.Fatalf("first packet was classified (%v); no assignment existed yet", h.classified)
+	if len(h.classified()) != 0 {
+		t.Fatalf("first packet was classified (%v); no assignment existed yet", h.classified())
 	}
 	if p, d, _ := h.m.SenderStats(1); p != 0 || d != 0 {
 		t.Fatalf("stats after first packet = (%d, %d), want (0, 0)", p, d)
@@ -102,12 +156,12 @@ func TestMonitorHonestSenderNoDeviation(t *testing.T) {
 	if len(h.deviations) != 0 {
 		t.Fatalf("honest sender flagged %d deviations: %v", len(h.deviations), h.deviations)
 	}
-	for i, mis := range h.classified {
+	for i, mis := range h.classified() {
 		if mis {
 			t.Fatalf("honest packet %d classified as misbehaving", i)
 		}
 	}
-	for i, d := range h.diffs {
+	for i, d := range h.diffs() {
 		if d != 0 {
 			t.Fatalf("honest diff %d = %v, want 0 (B_act must equal B_exp)", i, d)
 		}
@@ -172,7 +226,7 @@ func TestMonitorDiagnosisAfterPersistentMisbehavior(t *testing.T) {
 	if diagnosedAt < 0 {
 		t.Fatal("persistent 100% misbehavior never diagnosed")
 	}
-	if !h.classified[len(h.classified)-1] {
+	if !h.classified()[len(h.classified())-1] {
 		t.Fatal("last packet not classified as misbehaving despite diagnosis")
 	}
 }
@@ -186,7 +240,7 @@ func TestMonitorSlowSenderNotDiagnosed(t *testing.T) {
 	if h.m.Diagnosed(1) {
 		t.Fatal("over-waiting sender diagnosed as misbehaving")
 	}
-	for _, d := range h.diffs {
+	for _, d := range h.diffs() {
 		if d > 0 {
 			t.Fatalf("over-waiting sender has positive diff %v", d)
 		}
@@ -254,7 +308,7 @@ func TestMonitorRetryChainEstimation(t *testing.T) {
 	if len(h.deviations) != 0 {
 		t.Fatalf("honest retry chain flagged: %v", h.deviations)
 	}
-	if d := h.diffs[len(h.diffs)-1]; d != 0 {
+	if d := h.diffs()[len(h.diffs())-1]; d != 0 {
 		t.Fatalf("retry diff = %v, want 0", d)
 	}
 }
@@ -272,9 +326,9 @@ func TestMonitorDuplicateRetryUsesChainOnly(t *testing.T) {
 	chain := ExpectedBackoff(first, 1, 2, h.mp, false)
 	h.exchangeSeq(2, 2, chain)
 	if len(h.deviations) != 0 {
-		t.Fatalf("honest duplicate retry flagged: %v (diffs %v)", h.deviations, h.diffs)
+		t.Fatalf("honest duplicate retry flagged: %v (diffs %v)", h.deviations, h.diffs())
 	}
-	if d := h.diffs[len(h.diffs)-1]; d != 0 {
+	if d := h.diffs()[len(h.diffs())-1]; d != 0 {
 		t.Fatalf("duplicate retry diff = %v, want 0", d)
 	}
 }
@@ -314,8 +368,8 @@ func TestMonitorAttemptVerificationCatchesLiar(t *testing.T) {
 		// may respond or drop again; irrelevant here
 		_ = respond
 	}
-	if h.proofs != 1 {
-		t.Fatalf("proofs = %d, want 1 (liar caught)", h.proofs)
+	if h.proofs() != 1 {
+		t.Fatalf("proofs = %d, want 1 (liar caught)", h.proofs())
 	}
 	if !h.m.Diagnosed(1) {
 		t.Fatal("proven liar not reported as diagnosed")
@@ -333,8 +387,8 @@ func TestMonitorAttemptVerificationPassesHonest(t *testing.T) {
 	h.m.OnRTS(rts, start, start+rtsAirtime) // dropped
 	rts.Attempt = 2                         // honest increment
 	h.m.OnRTS(rts, start+sim.Millisecond, start+sim.Millisecond+rtsAirtime)
-	if h.proofs != 0 {
-		t.Fatalf("honest sender proven misbehaving (%d proofs)", h.proofs)
+	if h.proofs() != 0 {
+		t.Fatalf("honest sender proven misbehaving (%d proofs)", h.proofs())
 	}
 }
 

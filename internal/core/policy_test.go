@@ -7,6 +7,7 @@ import (
 	"dcfguard/internal/mac"
 	"dcfguard/internal/medium"
 	"dcfguard/internal/misbehave"
+	"dcfguard/internal/obs"
 	"dcfguard/internal/phys"
 	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
@@ -117,9 +118,8 @@ type coreFixture struct {
 	receiver *mac.Node
 	senders  map[frame.NodeID]*mac.Node
 	success  map[frame.NodeID]int
-
-	classifiedMis map[frame.NodeID]int
-	classifiedOK  map[frame.NodeID]int
+	// diagnosis captures the monitor's CatDiagnosis records.
+	diagnosis *obs.CaptureSink
 }
 
 // newCoreFixture builds a receiver running the Monitor at the origin and
@@ -133,24 +133,14 @@ func newCoreFixture(t *testing.T, params Params, policies map[frame.NodeID]mac.B
 	med := medium.New(&sched, medium.Config{Model: model}, rng.New(77))
 
 	fx := &coreFixture{
-		sched:         &sched,
-		med:           med,
-		senders:       make(map[frame.NodeID]*mac.Node),
-		success:       make(map[frame.NodeID]int),
-		classifiedMis: make(map[frame.NodeID]int),
-		classifiedOK:  make(map[frame.NodeID]int),
-	}
-	events := Events{
-		OnClassified: func(src frame.NodeID, mis bool, _ float64, _ sim.Time) {
-			if mis {
-				fx.classifiedMis[src]++
-			} else {
-				fx.classifiedOK[src]++
-			}
-		},
+		sched:   &sched,
+		med:     med,
+		senders: make(map[frame.NodeID]*mac.Node),
+		success: make(map[frame.NodeID]int),
 	}
 	const rxID = frame.NodeID(0)
-	fx.monitor = NewMonitor(rxID, params, mac.DefaultParams(), rng.New(5), events)
+	fx.monitor = NewMonitor(rxID, params, mac.DefaultParams(), rng.New(5), Events{})
+	fx.diagnosis = captureDiagnosis(fx.monitor)
 	fx.receiver = mac.NewNode(rxID, mac.DefaultParams(), &sched, med,
 		mac.NewStandardPolicy(rng.New(6)), fx.monitor, mac.Callbacks{})
 	med.Attach(rxID, phys.Point{}, radio, fx.receiver)
@@ -189,16 +179,17 @@ func TestIntegrationHonestSendersCleanDiagnosis(t *testing.T) {
 	fx := newCoreFixture(t, DefaultParams(), policies)
 	fx.sched.Run(5 * sim.Second)
 
+	classifiedMis, classifiedOK := verdicts(fx.diagnosis)
 	for id := frame.NodeID(1); id <= 3; id++ {
 		if fx.success[id] < 100 {
 			t.Errorf("sender %d completed only %d packets", id, fx.success[id])
 		}
-		if fx.classifiedMis[id] != 0 {
+		if classifiedMis[id] != 0 {
 			t.Errorf("honest sender %d misdiagnosed %d times (ok %d)",
-				id, fx.classifiedMis[id], fx.classifiedOK[id])
+				id, classifiedMis[id], classifiedOK[id])
 		}
 		_, dev, _ := fx.monitor.SenderStats(id)
-		if dev > fx.classifiedOK[id]/10 {
+		if dev > classifiedOK[id]/10 {
 			t.Errorf("honest sender %d flagged deviating %d times", id, dev)
 		}
 	}
@@ -215,7 +206,8 @@ func TestIntegrationMisbehaverDiagnosedOthersClean(t *testing.T) {
 	fx.sched.Run(5 * sim.Second)
 
 	// The PM=90 sender must be diagnosed for most of its packets.
-	mis, ok := fx.classifiedMis[2], fx.classifiedOK[2]
+	classifiedMis, classifiedOK := verdicts(fx.diagnosis)
+	mis, ok := classifiedMis[2], classifiedOK[2]
 	if mis+ok == 0 {
 		t.Fatal("misbehaver never classified")
 	}
@@ -224,12 +216,12 @@ func TestIntegrationMisbehaverDiagnosedOthersClean(t *testing.T) {
 	}
 	// Honest senders stay clean.
 	for _, id := range []frame.NodeID{1, 3} {
-		total := fx.classifiedMis[id] + fx.classifiedOK[id]
+		total := classifiedMis[id] + classifiedOK[id]
 		if total == 0 {
 			t.Errorf("honest sender %d never classified", id)
 			continue
 		}
-		if frac := float64(fx.classifiedMis[id]) / float64(total); frac > 0.05 {
+		if frac := float64(classifiedMis[id]) / float64(total); frac > 0.05 {
 			t.Errorf("honest sender %d misdiagnosis rate %.2f", id, frac)
 		}
 	}
@@ -248,16 +240,8 @@ func TestIntegrationBasicAccessDetection(t *testing.T) {
 	mp := mac.DefaultParams()
 	mp.BasicAccess = true
 
-	classifiedMis := make(map[frame.NodeID]int)
-	classifiedOK := make(map[frame.NodeID]int)
-	events := Events{OnClassified: func(src frame.NodeID, mis bool, _ float64, _ sim.Time) {
-		if mis {
-			classifiedMis[src]++
-		} else {
-			classifiedOK[src]++
-		}
-	}}
-	monitor := NewMonitor(0, DefaultParams(), mp, rng.New(5), events)
+	monitor := NewMonitor(0, DefaultParams(), mp, rng.New(5), Events{})
+	diagnosis := captureDiagnosis(monitor)
 	recv := mac.NewNode(0, mp, &sched, med, mac.NewStandardPolicy(rng.New(6)), monitor, mac.Callbacks{})
 	med.Attach(0, phys.Point{}, radio, recv)
 
@@ -278,6 +262,7 @@ func TestIntegrationBasicAccessDetection(t *testing.T) {
 	}
 	sched.Run(5 * sim.Second)
 
+	classifiedMis, classifiedOK := verdicts(diagnosis)
 	mis, ok := classifiedMis[2], classifiedOK[2]
 	if mis+ok == 0 {
 		t.Fatal("basic-access misbehaver never classified")

@@ -2,7 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 
 	"dcfguard/internal/sim"
 )
@@ -52,5 +56,63 @@ func FuzzScenarioSpec(f *testing.F) {
 		}
 		// A run error is an allowed outcome; only a panic fails.
 		_, _ = Run(s, 1)
+	})
+}
+
+// FuzzJournalCell throws arbitrary bytes at the journal's resume path
+// under an arbitrary (scenario, seed) key. Loading never panics and
+// reports a finished cell only when the decoded Result carries the
+// key; a JournalCell → LoadJournaledCell round trip returns an
+// identical Result. JSON cannot carry a name that is not valid UTF-8,
+// so such keys only get the first half: they load as not finished.
+func FuzzJournalCell(f *testing.F) {
+	cell := `{"Scenario":"cell","Seed":7,"Duration":1000000000,"CorrectDiagnosisPct":87.5,` +
+		`"Series":[{"Start":0,"CorrectPct":50,"Packets":4}],"ThroughputBySender":{"1":204.8},"ColludingPairs":[[3,1]]}`
+	for _, in := range []struct {
+		data     string
+		scenario string
+		seed     uint64
+	}{
+		{cell, "cell", 7},
+		{cell, "cell", 8},  // another cell's result
+		{cell, "other", 7}, // another cell's result
+		{`{}`, "cell", 7},
+		{`null`, "cell", 7},
+		{`{"Scenario": truncated`, "cell", 7},
+		{`[]`, "", 0},
+	} {
+		f.Add([]byte(in.data), in.scenario, in.seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, scenario string, seed uint64) {
+		if len(scenario) > 64 {
+			return // keeps the cell's file name within file-system limits
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, CellFileName(scenario, seed)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, ok, err := LoadJournaledCell(dir, scenario, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && (r.Scenario != scenario || r.Seed != seed) {
+			t.Fatalf("cell (%q, %d) loaded as finished with key (%q, %d)", scenario, seed, r.Scenario, r.Seed)
+		}
+		if !ok {
+			r = Result{Scenario: scenario, Seed: seed}
+		}
+		if !utf8.ValidString(r.Scenario) {
+			return
+		}
+		if err := JournalCell(dir, r); err != nil {
+			t.Fatal(err)
+		}
+		back, ok, err := LoadJournaledCell(dir, r.Scenario, r.Seed)
+		if err != nil || !ok {
+			t.Fatalf("journaled cell (%q, %d) did not load: ok=%v err=%v", r.Scenario, r.Seed, ok, err)
+		}
+		if !reflect.DeepEqual(back, r) {
+			t.Fatalf("journal round trip changed the Result:\n got %+v\nwant %+v", back, r)
+		}
 	})
 }

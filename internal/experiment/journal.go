@@ -112,8 +112,10 @@ func CellFileName(scenario string, seed uint64) string {
 // LoadJournaledCell reads one checkpointed cell from dir. A missing or
 // malformed file (a torn write on a lying disk — impossible with
 // atomicio, but journals outlive their writer) reports ok=false with no
-// error: the cell is simply rerun. The error is reserved for real I/O
-// problems (permissions, unreadable directory).
+// error: the cell is simply rerun. A cell whose decoded (Scenario, Seed)
+// is not the key asked for — `{}`, `null`, another cell's result — is
+// malformed too. The error is reserved for real I/O problems
+// (permissions, unreadable directory).
 func LoadJournaledCell(dir, scenario string, seed uint64) (Result, bool, error) {
 	data, err := os.ReadFile(filepath.Join(dir, CellFileName(scenario, seed)))
 	if err != nil {
@@ -123,7 +125,7 @@ func LoadJournaledCell(dir, scenario string, seed uint64) (Result, bool, error) 
 		return Result{}, false, fmt.Errorf("experiment: journal: %w", err)
 	}
 	var r Result
-	if err := json.Unmarshal(data, &r); err != nil {
+	if err := json.Unmarshal(data, &r); err != nil || r.Scenario != scenario || r.Seed != seed {
 		return Result{}, false, nil
 	}
 	return r, true, nil

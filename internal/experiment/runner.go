@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"dcfguard/internal/core"
 	"dcfguard/internal/faults"
@@ -46,7 +45,7 @@ type Result struct {
 
 	// Series is the Figure-8 per-bin diagnosis series (empty unless the
 	// scenario sets BinSize).
-	Series []stats.SeriesPoint
+	Series []SeriesPoint
 
 	// ThroughputBySender maps each measured flow source to its goodput.
 	ThroughputBySender map[frame.NodeID]float64
@@ -240,7 +239,6 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 		receiverSet[id] = true
 	}
 
-	collector := stats.NewCollector(tp.Misbehaving, s.BinSize)
 	result := Result{Scenario: s.Name, Seed: seed, Duration: s.Duration}
 
 	// Observability: build the runtime (nil when the scenario enables
@@ -255,6 +253,13 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 	if s.TraceEvents > 0 {
 		result.Trace = trace.New(s.TraceEvents)
 		rt = rt.Subscribe(obs.CategorySet(0).Set(obs.CatChannel), result.Trace)
+	}
+	// Result's detection metrics count the monitors' diagnosis records.
+	// Subscribed before the shard fan-in is built, so sharded runs
+	// replay the records into it in serial order.
+	tally := diagnosisTally{misbehaving: misbehaving, binSize: s.BinSize}
+	if s.Protocol == ProtocolCorrect {
+		rt = rt.Subscribe(obs.CategorySet(0).Set(obs.CatDiagnosis), &tally)
 	}
 	med.Instrument(rt.Reg(), rt.TraceBus())
 	// Sharded tracing: emissions happen on shard goroutines, so every
@@ -273,16 +278,6 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 			return obsFanin.Bus(shardOf[i])
 		}
 		return rt.TraceBus()
-	}
-
-	// Monitors run on whichever shard their node lives on, so this
-	// order-free tally is atomic rather than a plain increment.
-	var proven atomic.Int64
-	events := core.Events{
-		OnClassified: collector.OnClassified,
-		OnProvenMisbehavior: func(frame.NodeID, sim.Time) {
-			proven.Add(1)
-		},
 	}
 
 	// Build nodes in ascending ID order (determinism), allocated from
@@ -320,20 +315,12 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 				params.AssignMode = core.AssignGreedy
 				params.WaivePenalties = true
 			}
-			m := core.NewMonitor(id, params, s.MAC, root.StreamN("monitor-", uint64(id)), events)
+			m := core.NewMonitor(id, params, s.MAC, root.StreamN("monitor-", uint64(id)), core.Events{})
 			m.Instrument(rt.Reg(), traceBusFor(i))
 			monitors[id] = m
 			hook = m
 		}
-		cb := mac.Callbacks{
-			OnDeliver: collector.OnDeliver,
-			OnSendSuccess: func(id frame.NodeID) func(frame.NodeID, uint32, int, int, sim.Time, sim.Time) {
-				return func(_ frame.NodeID, _ uint32, _, _ int, enqueuedAt, now sim.Time) {
-					collector.OnSendComplete(id, now-enqueuedAt)
-				}
-			}(id),
-		}
-		nodes[i] = mac.NewNodeIn(arena, id, s.MAC, nsched, med, policies[id], hook, cb)
+		nodes[i] = mac.NewNodeIn(arena, id, s.MAC, nsched, med, policies[id], hook, mac.Callbacks{})
 		nodes[i].Instrument(rt.Reg(), traceBusFor(i))
 		med.Attach(id, tp.Positions[i], radio, nodes[i])
 	}
@@ -447,24 +434,16 @@ func run(s Scenario, seed uint64, armed func(sim.Kernel, *obs.Runtime)) (Result,
 	}
 
 	// Collect metrics.
-	result.CorrectDiagnosisPct = collector.CorrectDiagnosisPct()
-	result.MisdiagnosisPct = collector.MisdiagnosisPct()
-	result.AvgHonestKbps, result.AvgMisbehaverKbps =
-		collector.SplitThroughputKbps(tp.Measured, s.Duration)
-	result.AvgHonestDelayMs, result.AvgMisbehaverDelayMs =
-		collector.SplitDelayMs(tp.Measured)
-	result.Fairness = collector.Fairness(tp.Measured, s.Duration)
-	result.Series = collector.DiagnosisSeries()
-	result.ThroughputBySender = make(map[frame.NodeID]float64, len(tp.Measured))
-	for _, id := range tp.Measured {
-		tput := collector.ThroughputKbps(id, s.Duration)
-		result.ThroughputBySender[id] = tput
-		result.TotalKbps += tput
+	tally.fill(&result)
+	delivered := make(map[frame.NodeID]int64, len(tp.Measured))
+	for _, n := range nodes {
+		n.AddDelivered(delivered)
 	}
+	result.fillTraffic(tp.Measured, misbehaving, delivered,
+		func(id frame.NodeID) stats.Welford { return nodes[id].Delay() })
 	for _, p := range senderPolicies {
 		result.GreedyDetections += p.GreedyDetections()
 	}
-	result.ProvenMisbehaviors = int(proven.Load())
 	result.EventsFired = kernel.EventsFired()
 	result.FaultDrops = med.FaultDrops()
 	for i := range tp.Positions {

@@ -6,7 +6,6 @@ import (
 
 	"dcfguard/internal/phys"
 	"dcfguard/internal/sim"
-	"dcfguard/internal/stats"
 )
 
 // quick returns a short scenario for test runs.
@@ -336,8 +335,8 @@ func TestAggregateSeriesPooling(t *testing.T) {
 	// The pooled series must weight per-run percentages by packet
 	// counts, not average them naively.
 	results := []Result{
-		{Series: []stats.SeriesPoint{{Start: 0, CorrectPct: 100, Packets: 30}}},
-		{Series: []stats.SeriesPoint{{Start: 0, CorrectPct: 0, Packets: 10}}},
+		{Series: []SeriesPoint{{Start: 0, CorrectPct: 100, Packets: 30}}},
+		{Series: []SeriesPoint{{Start: 0, CorrectPct: 0, Packets: 10}}},
 	}
 	agg := aggregate("x", results)
 	if len(agg.Series) != 1 {
@@ -354,8 +353,8 @@ func TestAggregateSeriesPooling(t *testing.T) {
 
 func TestAggregateUnevenSeriesLengths(t *testing.T) {
 	results := []Result{
-		{Series: []stats.SeriesPoint{{Start: 0, CorrectPct: 50, Packets: 10}}},
-		{Series: []stats.SeriesPoint{
+		{Series: []SeriesPoint{{Start: 0, CorrectPct: 50, Packets: 10}}},
+		{Series: []SeriesPoint{
 			{Start: 0, CorrectPct: 50, Packets: 10},
 			{Start: sim.Second, CorrectPct: 100, Packets: 4},
 		}},

@@ -23,7 +23,7 @@ type Aggregate struct {
 
 	// Series is the packet-weighted per-bin diagnosis series pooled
 	// across runs.
-	Series []stats.SeriesPoint
+	Series []SeriesPoint
 
 	ProvenMisbehaviors int
 	GreedyDetections   int
@@ -185,7 +185,7 @@ func aggregate(name string, results []Result) Aggregate {
 	agg.TotalKbps = total.Summarize()
 	agg.Fairness = fair.Summarize()
 	for _, b := range bins {
-		p := stats.SeriesPoint{Start: b.start, Packets: b.packets}
+		p := SeriesPoint{Start: b.start, Packets: b.packets}
 		if b.packets > 0 {
 			p.CorrectPct = b.weighted / float64(b.packets)
 		}

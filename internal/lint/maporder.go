@@ -12,7 +12,7 @@ import (
 // observable. Go randomises map order per run, so any append, output
 // emission, RNG draw, event schedule, or floating-point accumulation
 // inside such a loop leaks nondeterminism straight into results and
-// goldens. The blessed pattern (stats/collector.go Senders) extracts the
+// goldens. The blessed pattern (experiment.PerSenderCSV) extracts the
 // keys, sorts them, and iterates the sorted slice; a pure key-extraction
 // loop is therefore exempt — provided the slice actually reaches a
 // sort.*/slices.* call in the same function.
@@ -46,7 +46,7 @@ func runMaporder(pass *Pass) {
 			}
 
 			if pos, what := orderSensitiveOp(pass, rs); pos.IsValid() {
-				pass.Reportf(rs.For, "map iteration %s; extract and sort the keys first (see stats.Collector.Senders)", what)
+				pass.Reportf(rs.For, "map iteration %s; extract and sort the keys first (see experiment.PerSenderCSV)", what)
 			}
 			return true
 		})

@@ -6,6 +6,7 @@ import (
 	"dcfguard/internal/frame"
 	"dcfguard/internal/medium"
 	"dcfguard/internal/sim"
+	"dcfguard/internal/stats"
 )
 
 // ReceiverHook observes and steers the receiver side of DCF exchanges.
@@ -46,9 +47,6 @@ type Callbacks struct {
 	// OnSendDrop fires at the sender when a packet exhausts the retry
 	// limit and is discarded.
 	OnSendDrop func(dst frame.NodeID, seq uint32, now sim.Time)
-	// OnDeliver fires at the receiver when a non-duplicate DATA frame
-	// is accepted.
-	OnDeliver func(src frame.NodeID, seq uint32, payloadBytes int, now sim.Time)
 	// OnQueueSpace fires at the sender whenever the interface queue
 	// gains room (a packet finished or was dropped). Backlogged sources
 	// refill from here.
@@ -122,11 +120,11 @@ type Node struct {
 	// Channel view + backoff engine (hot: touched on every carrier
 	// transition and countdown event).
 	physBusy   bool
-	counting   bool     // countdown currently running
-	committed  bool     // countdown expired this instant; transmit regardless of CS
-	eifsNext   bool     // next resume waits EIFS (corrupted reception seen)
+	counting   bool // countdown currently running
+	committed  bool // countdown expired this instant; transmit regardless of CS
+	eifsNext   bool // next resume waits EIFS (corrupted reception seen)
 	state      senderState
-	remaining  int      // backoff slots left to count
+	remaining  int // backoff slots left to count
 	navUntil   sim.Time
 	lastBusyAt sim.Time // most recent carrier busy transition
 	resumeWait sim.Time // the interframe space the current countdown waited
@@ -151,7 +149,7 @@ type Node struct {
 	respTimer *sim.Timer // CTS/ACK timeout
 
 	// Receiver side.
-	lastSeq map[frame.NodeID]uint32 // highest delivered seq per sender
+	rx map[frame.NodeID]rxFlow
 
 	// sendDataFn is n.sendData bound once, so arming the post-CTS SIFS
 	// wait does not allocate a fresh method value per exchange.
@@ -161,10 +159,20 @@ type Node struct {
 
 	// Counters.
 	txSuccess, txDrop, rxDeliver uint64
+	// delay tallies the MAC delay (enqueue → ACK) of every acknowledged
+	// packet, in milliseconds.
+	delay stats.Welford
 
 	// obs holds the pre-resolved observability handles (see obs.go);
 	// the zero value means instrumentation is off.
 	obs nodeObs
+}
+
+// rxFlow is the receiver's state for one sender: the highest delivered
+// sequence number (the duplicate filter) and the payload bytes delivered.
+type rxFlow struct {
+	lastSeq uint32
+	bytes   int64
 }
 
 // pendingTx is a SIFS-deferred response (CTS or ACK) waiting to go on
@@ -242,15 +250,15 @@ func NewNodeIn(a *Arena, id frame.NodeID, params Params, sched *sim.Scheduler, m
 	}
 	n := a.take()
 	*n = Node{
-		id:      id,
-		params:  params,
-		sched:   sched,
-		med:     med,
-		policy:  policy,
-		hook:    hook,
-		cb:      cb,
-		state:   stateIdle,
-		lastSeq: make(map[frame.NodeID]uint32),
+		id:     id,
+		params: params,
+		sched:  sched,
+		med:    med,
+		policy: policy,
+		hook:   hook,
+		cb:     cb,
+		state:  stateIdle,
+		rx:     make(map[frame.NodeID]rxFlow),
 	}
 	n.doneTimer = sim.NewTimer(sched, n.backoffDone)
 	n.navTimer = sim.NewTimer(sched, n.navExpired)
@@ -277,6 +285,18 @@ func (n *Node) bitRate() int64 {
 func (n *Node) Counters() (success, drop, deliver uint64) {
 	return n.txSuccess, n.txDrop, n.rxDeliver
 }
+
+// AddDelivered adds the payload bytes this node delivered as receiver,
+// per sender, into bytes.
+func (n *Node) AddDelivered(bytes map[frame.NodeID]int64) {
+	for src, f := range n.rx {
+		bytes[src] += f.bytes
+	}
+}
+
+// Delay returns the MAC delay (enqueue → ACK, in milliseconds) of the
+// packets this node sent and had acknowledged.
+func (n *Node) Delay() stats.Welford { return n.delay }
 
 // QueueLen returns the current interface-queue depth.
 func (n *Node) QueueLen() int { return len(n.queue) }
@@ -580,6 +600,7 @@ func (n *Node) onAck(ack frame.Frame) {
 	n.txSuccess++
 	n.obs.txSuccess.Inc()
 	n.obs.attempts.Observe(float64(n.attempt))
+	n.delay.Add((n.sched.Now() - head.enqueuedAt).Seconds() * 1000)
 	if n.cb.OnSendSuccess != nil {
 		n.cb.OnSendSuccess(head.dst, head.seq, head.bytes, n.attempt, head.enqueuedAt, n.sched.Now())
 	}
@@ -682,13 +703,10 @@ func (n *Node) onData(data frame.Frame, end sim.Time) {
 	if !ack {
 		return
 	}
-	if last, seen := n.lastSeq[data.Src]; !seen || data.Seq > last {
-		n.lastSeq[data.Src] = data.Seq
+	if f, seen := n.rx[data.Src]; !seen || data.Seq > f.lastSeq {
+		n.rx[data.Src] = rxFlow{lastSeq: data.Seq, bytes: f.bytes + int64(data.PayloadBytes)}
 		n.rxDeliver++
 		n.obs.rxDeliver.Inc()
-		if n.cb.OnDeliver != nil {
-			n.cb.OnDeliver(data.Src, data.Seq, data.PayloadBytes, end)
-		}
 	}
 	ackFrame := frame.Frame{
 		Type:            frame.Ack,

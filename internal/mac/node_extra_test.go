@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"math"
 	"testing"
 
 	"dcfguard/internal/frame"
@@ -365,6 +366,35 @@ func TestDelayReportedInCallback(t *testing.T) {
 	want := difs + 3*slot + exchange
 	if delay != want {
 		t.Fatalf("delay = %v, want %v (uncontended single exchange)", delay, want)
+	}
+}
+
+// TestDelayAccounting pins the sender's own delay tally (what run
+// metrics read) against the per-packet delays the callback reports.
+func TestDelayAccounting(t *testing.T) {
+	fx := newFixture()
+	var sumMs float64
+	cb := Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, enqueuedAt, now sim.Time) {
+		sumMs += (now - enqueuedAt).Seconds() * 1000
+	}}
+	n := NewNode(1, DefaultParams(), fx.sched, fx.med, &fixedPolicy{initial: 3}, nil, cb)
+	fx.med.Attach(1, phys.Point{}, detTestRadio(), n)
+	recv := fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
+
+	fx.sched.At(sim.Millisecond, func() {
+		n.Enqueue(2, 512)
+		n.Enqueue(2, 512)
+	})
+	fx.sched.Run(sim.Second)
+	w := n.Delay()
+	if w.N() != 2 {
+		t.Fatalf("delay tally holds %d packets, want 2", w.N())
+	}
+	if want := sumMs / 2; math.Abs(w.Mean()-want) > 1e-9 {
+		t.Fatalf("mean delay %v ms, want %v", w.Mean(), want)
+	}
+	if w := recv.Delay(); w.N() != 0 || w.Mean() != 0 {
+		t.Fatalf("receiver-only node has delay tally %+v, want empty", w)
 	}
 }
 

@@ -460,9 +460,7 @@ func TestDuplicateDataFiltered(t *testing.T) {
 	n := fx.addNode(1, phys.Point{}, NewStandardPolicy(rng.New(2)), nil)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(3)), nil)
 
-	var delivered int
-	n2 := NewNode(3, DefaultParams(), fx.sched, fx.med, NewStandardPolicy(rng.New(4)), nil,
-		Callbacks{OnDeliver: func(frame.NodeID, uint32, int, sim.Time) { delivered++ }})
+	n2 := NewNode(3, DefaultParams(), fx.sched, fx.med, NewStandardPolicy(rng.New(4)), nil, Callbacks{})
 	fx.med.Attach(3, phys.Point{X: -100}, detTestRadio(), n2)
 
 	data := frame.Frame{Type: frame.Data, Src: 1, Dst: 3, Seq: 5, PayloadBytes: 512}
@@ -472,11 +470,13 @@ func TestDuplicateDataFiltered(t *testing.T) {
 	n2.FrameReceived(data, fx.sched.Now())
 	fx.sched.Run(20 * sim.Millisecond)
 
-	if delivered != 1 {
-		t.Fatalf("delivered %d, want 1 (duplicate must be filtered)", delivered)
-	}
 	if _, _, del := n2.Counters(); del != 1 {
-		t.Fatalf("counter delivered %d, want 1", del)
+		t.Fatalf("delivered %d, want 1 (duplicate must be filtered)", del)
+	}
+	bytes := map[frame.NodeID]int64{}
+	n2.AddDelivered(bytes)
+	if len(bytes) != 1 || bytes[1] != 512 {
+		t.Fatalf("delivered bytes %v, want map[1:512] (duplicate must not count)", bytes)
 	}
 	_ = n
 }

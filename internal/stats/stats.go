@@ -1,7 +1,6 @@
-// Package stats implements the paper's evaluation metrics: per-flow
-// throughput, Jain's fairness index, the four diagnosis-accuracy
-// percentages of §5, per-second diagnosis time series (Figure 8), and
-// multi-seed aggregation with confidence intervals.
+// Package stats holds the numeric helpers behind the paper's
+// evaluation metrics: Jain's fairness index, Welford's running mean and
+// variance, and multi-seed aggregation with confidence intervals.
 package stats
 
 import (

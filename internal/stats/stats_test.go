@@ -4,9 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"dcfguard/internal/frame"
-	"dcfguard/internal/sim"
 )
 
 func TestJainPerfectFairness(t *testing.T) {
@@ -163,140 +160,4 @@ func TestQuickWelfordMatchesDirect(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestCollectorDiagnosisPercentages(t *testing.T) {
-	c := NewCollector([]frame.NodeID{3}, 0)
-	// Misbehaver (node 3): 8 classified, 6 flagged.
-	for i := 0; i < 6; i++ {
-		c.OnClassified(3, true, 10, sim.Second)
-	}
-	for i := 0; i < 2; i++ {
-		c.OnClassified(3, false, 1, sim.Second)
-	}
-	// Honest node 1: 10 classified, 1 flagged.
-	for i := 0; i < 9; i++ {
-		c.OnClassified(1, false, 0, sim.Second)
-	}
-	c.OnClassified(1, true, 5, sim.Second)
-
-	if got := c.CorrectDiagnosisPct(); math.Abs(got-75) > 1e-12 {
-		t.Fatalf("correct diagnosis = %v%%, want 75", got)
-	}
-	if got := c.MisdiagnosisPct(); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("misdiagnosis = %v%%, want 10", got)
-	}
-}
-
-func TestCollectorEmptyPercentages(t *testing.T) {
-	c := NewCollector(nil, 0)
-	if c.CorrectDiagnosisPct() != 0 || c.MisdiagnosisPct() != 0 {
-		t.Fatal("empty collector percentages not 0")
-	}
-}
-
-func TestCollectorThroughput(t *testing.T) {
-	c := NewCollector(nil, 0)
-	for i := 0; i < 100; i++ {
-		c.OnDeliver(1, uint32(i), 512, sim.Second)
-	}
-	// 100·512·8 bits over 2 s = 204.8 kbps.
-	if got := c.ThroughputKbps(1, 2*sim.Second); math.Abs(got-204.8) > 1e-9 {
-		t.Fatalf("throughput = %v, want 204.8", got)
-	}
-	if c.Packets(1) != 100 {
-		t.Fatalf("packets = %d", c.Packets(1))
-	}
-	if got := c.ThroughputKbps(2, 2*sim.Second); got != 0 {
-		t.Fatalf("unknown sender throughput = %v", got)
-	}
-}
-
-func TestCollectorSplitThroughput(t *testing.T) {
-	c := NewCollector([]frame.NodeID{2}, 0)
-	for i := 0; i < 10; i++ {
-		c.OnDeliver(1, uint32(i), 1000, 0)
-		c.OnDeliver(3, uint32(i), 3000, 0)
-	}
-	for i := 0; i < 10; i++ {
-		c.OnDeliver(2, uint32(i), 5000, 0)
-	}
-	avg, mis := c.SplitThroughputKbps([]frame.NodeID{1, 2, 3}, sim.Second)
-	// Honest: (80 + 240)/2 = 160 kbps; misbehaving: 400 kbps.
-	if math.Abs(avg-160) > 1e-9 || math.Abs(mis-400) > 1e-9 {
-		t.Fatalf("split = (%v, %v), want (160, 400)", avg, mis)
-	}
-}
-
-func TestCollectorSplitIncludesStarvedSenders(t *testing.T) {
-	c := NewCollector(nil, 0)
-	c.OnDeliver(1, 0, 1000, 0)
-	avg, _ := c.SplitThroughputKbps([]frame.NodeID{1, 2}, sim.Second)
-	if math.Abs(avg-4) > 1e-9 { // (8 + 0)/2 kbps
-		t.Fatalf("avg = %v, want 4 (starved sender must count as zero)", avg)
-	}
-}
-
-func TestCollectorFairness(t *testing.T) {
-	c := NewCollector(nil, 0)
-	for i := 0; i < 10; i++ {
-		c.OnDeliver(1, uint32(i), 1000, 0)
-		c.OnDeliver(2, uint32(i), 1000, 0)
-	}
-	if got := c.Fairness([]frame.NodeID{1, 2}, sim.Second); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("fairness = %v, want 1", got)
-	}
-}
-
-func TestCollectorSenders(t *testing.T) {
-	c := NewCollector(nil, 0)
-	c.OnDeliver(5, 0, 1, 0)
-	c.OnDeliver(1, 0, 1, 0)
-	c.OnDeliver(3, 0, 1, 0)
-	got := c.Senders()
-	want := []frame.NodeID{1, 3, 5}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("Senders() = %v, want %v", got, want)
-	}
-}
-
-func TestCollectorSeries(t *testing.T) {
-	c := NewCollector([]frame.NodeID{3}, sim.Second)
-	// Bin 0: 2 of 4 flagged. Bin 2: 3 of 3 flagged. Bin 1: empty.
-	for i := 0; i < 2; i++ {
-		c.OnClassified(3, true, 0, 100*sim.Millisecond)
-		c.OnClassified(3, false, 0, 200*sim.Millisecond)
-	}
-	for i := 0; i < 3; i++ {
-		c.OnClassified(3, true, 0, 2500*sim.Millisecond)
-	}
-	// Honest traffic must not affect the series.
-	c.OnClassified(1, true, 0, 2500*sim.Millisecond)
-
-	s := c.DiagnosisSeries()
-	if len(s) != 3 {
-		t.Fatalf("series has %d bins, want 3", len(s))
-	}
-	if s[0].CorrectPct != 50 || s[0].Packets != 4 {
-		t.Fatalf("bin 0 = %+v", s[0])
-	}
-	if s[1].Packets != 0 || s[1].CorrectPct != 0 {
-		t.Fatalf("bin 1 = %+v", s[1])
-	}
-	if s[2].CorrectPct != 100 || s[2].Packets != 3 {
-		t.Fatalf("bin 2 = %+v", s[2])
-	}
-	if s[2].Start != 2*sim.Second {
-		t.Fatalf("bin 2 start = %v", s[2].Start)
-	}
-}
-
-func TestCollectorThroughputPanicsOnZeroDuration(t *testing.T) {
-	c := NewCollector(nil, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero duration did not panic")
-		}
-	}()
-	c.ThroughputKbps(1, 0)
 }
