@@ -58,13 +58,22 @@ func faultGoldenScenarios() []Scenario {
 	churn.Faults.ChurnInterval = 500 * sim.Millisecond
 	churn.Faults.ChurnDowntime = 100 * sim.Millisecond
 
-	return []Scenario{fer, burst, churn}
+	out := []Scenario{fer, burst, churn}
+	for _, s := range []Scenario{fer, burst, churn} {
+		s.Name += "-v2"
+		s.Channel = ChannelV2
+		out = append(out, s)
+	}
+	return out
 }
 
 var faultGoldenChecksums = map[string][3]uint64{
-	"faults-fer20":   {0xc11fc3189f35e7f9, 0x930e7c07df0e5025, 0x12c48e0c0821b711},
-	"faults-burst20": {0xb39be07a71e00546, 0x11bf1e06cdb4a3d1, 0xd4a1cc0d651f2349},
-	"faults-churn":   {0x2d30173547302e46, 0xe1c53916a88a026a, 0xb4b854afb0002370},
+	"faults-fer20":      {0xc11fc3189f35e7f9, 0x930e7c07df0e5025, 0x12c48e0c0821b711},
+	"faults-burst20":    {0xb39be07a71e00546, 0x11bf1e06cdb4a3d1, 0xd4a1cc0d651f2349},
+	"faults-churn":      {0x2d30173547302e46, 0xe1c53916a88a026a, 0xb4b854afb0002370},
+	"faults-fer20-v2":   {0xab72535b9dd8b8a1, 0xb2f777e777b2b5fd, 0xb7bf8129ef9cdc98},
+	"faults-burst20-v2": {0x830587214c55989d, 0x89975e107aa17f21, 0x6f7ff24992cec712},
+	"faults-churn-v2":   {0xa59d5a879842dbef, 0x37b4c71e856f233e, 0x517da0badef93fd3},
 }
 
 func TestFaultDeterminismGolden(t *testing.T) {

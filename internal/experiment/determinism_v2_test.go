@@ -18,7 +18,8 @@ import (
 // goldenScenariosV2 returns the canonical v2 scenarios at guard scale:
 // the monitored star, the 40-node random topology, and the star under
 // coherence-interval sensing — the three v2 code paths (fan-out,
-// spatial index at scale, and the coherent segment loop).
+// spatial index at scale, and the coherent segment loop) — plus the
+// plain 802.11 star, the MAC kernel with no monitor.
 func goldenScenariosV2() []Scenario {
 	starCorrect := DefaultScenario()
 	starCorrect.Name = "star-correct-v2"
@@ -42,7 +43,13 @@ func goldenScenariosV2() []Scenario {
 	starCoherent.CoherenceInterval = 20 * sim.Microsecond
 	starCoherent.Channel = ChannelV2
 
-	return []Scenario{starCorrect, random40, starCoherent}
+	star80211 := DefaultScenario()
+	star80211.Name = "star-802.11-v2"
+	star80211.Protocol = Protocol80211
+	star80211.PM = 80
+	star80211.Duration = 2 * sim.Second
+
+	return []Scenario{starCorrect, random40, starCoherent, star80211}
 }
 
 // goldenChecksumsV2 holds the pinned per-seed checksums, captured from
@@ -51,6 +58,7 @@ var goldenChecksumsV2 = map[string][3]uint64{
 	"star-correct-v2":  {0x80b312ae6234ab51, 0x459b8ed95a4e01cc, 0x5b55afe26a6d9c9b},
 	"random-40-v2":     {0x639950d4cdc9a371, 0x4d612ac66ec75994, 0xc82837c334c3e417},
 	"star-coherent-v2": {0x85dd797384accd5f, 0xc87d8bb230db282b, 0x39d4f655df4353f5},
+	"star-802.11-v2":   {0xf4e68483d46e05e0, 0x90f75372a784cea, 0x4fc186fbb73c4a07},
 }
 
 func TestDeterminismGoldenV2(t *testing.T) {
