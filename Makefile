@@ -77,7 +77,7 @@ bench-record:
 	$(GO) run ./cmd/macsim bench
 
 # One iteration of the large-topology scaling benchmarks (channel model
-# v2 at 200/400 nodes plus the v1 400-node baseline).
+# v2 at 200 and 400 nodes).
 bench-large:
 	$(GO) test -run '^$$' -bench 'RunRandom[24]00' -benchtime=1x -benchmem .
 
@@ -129,7 +129,7 @@ faults:
 # frame timeline (an obs sink on the channel trace) with its golden
 # and run tests, the pass-through goldens + crash-ring tests, the
 # obshot analyzer corpus, then the disabled-path wall-time guard
-# against the BENCH.json baseline (min-of-5 RunRandom40 must stay
+# against the BENCH.json baseline (min-of-5 RunRandom40V2 must stay
 # within 2%).
 obs:
 	$(GO) test -race ./internal/obs ./internal/trace
@@ -165,7 +165,8 @@ shards:
 
 # The pre-merge gate (see README "Pre-merge gate"), cheapest stages
 # first so failures surface in seconds: gofmt, vet and the determinism
-# analyzers, then build, then the minutes-long race/bench stages.
+# analyzers, then build, then the minutes-long race/bench stages. CI
+# runs the same stages as one step each, in this order.
 check: fmt vet lint build bench-module race idle-history world-build check-v2 faults obs serve shards bench bench-guard
 
 clean:

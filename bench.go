@@ -33,7 +33,6 @@ func BenchFigConfig() Config {
 // under plain 802.11, 2 simulated seconds.
 func BenchScenario80211Star() Scenario {
 	s := DefaultScenario()
-	s.Channel = ChannelV1 // historical v1-channel kernel baseline
 	s.Duration = 2 * Second
 	s.Protocol = Protocol80211
 	return s
@@ -43,31 +42,20 @@ func BenchScenario80211Star() Scenario {
 // active and the PM-80 misbehaver.
 func BenchScenarioCorrectStar() Scenario {
 	s := DefaultScenario()
-	s.Channel = ChannelV1 // historical v1-channel pipeline baseline
 	s.Duration = 2 * Second
 	s.Protocol = ProtocolCorrect
 	s.PM = 80
 	return s
 }
 
-// BenchScenarioRandom40 is the Figure-9 40-node random topology with
-// 5 misbehaving senders at PM 80.
-func BenchScenarioRandom40() Scenario {
+// BenchScenarioRandom40V2 is the Figure-9 40-node random topology with
+// 5 misbehaving senders at PM 80, on channel model v2.
+func BenchScenarioRandom40V2() Scenario {
 	s := DefaultScenario()
-	s.Channel = ChannelV1 // the v1 pair of RunRandom40V2
+	s.Name = "random-40-v2"
 	s.Duration = 2 * Second
 	s.Topo = RandomTopo(40, 5)
 	s.PM = 80
-	return s
-}
-
-// BenchScenarioRandom40V2 is BenchScenarioRandom40 under channel model
-// v2 — the like-for-like comparison that bounds the small-topology
-// overhead of the counter RNG and spatial index.
-func BenchScenarioRandom40V2() Scenario {
-	s := BenchScenarioRandom40()
-	s.Name = "random-40-v2"
-	s.Channel = ChannelV2
 	return s
 }
 
@@ -82,13 +70,11 @@ func BenchScenarioRandom200() Scenario {
 	s.Protocol = Protocol80211
 	s.Topo = ScaledRandomTopo(200, 25)
 	s.PM = 80
-	s.Channel = ChannelV2
 	return s
 }
 
 // BenchScenarioRandom400 is the 400-node kernel-scaling workload under
-// channel model v2; BenchScenarioRandom400V1 is the same workload on
-// the v1 channel, the baseline for the v2 speedup claim.
+// channel model v2.
 func BenchScenarioRandom400() Scenario {
 	s := DefaultScenario()
 	s.Name = "random-400-v2"
@@ -96,15 +82,6 @@ func BenchScenarioRandom400() Scenario {
 	s.Protocol = Protocol80211
 	s.Topo = ScaledRandomTopo(400, 50)
 	s.PM = 80
-	s.Channel = ChannelV2
-	return s
-}
-
-// BenchScenarioRandom400V1 is BenchScenarioRandom400 on the v1 channel.
-func BenchScenarioRandom400V1() Scenario {
-	s := BenchScenarioRandom400()
-	s.Name = "random-400-v1"
-	s.Channel = ChannelV1
 	return s
 }
 
@@ -158,14 +135,12 @@ type BenchWorkload struct {
 // BenchGuarded lists BENCH.json's scenario entries in file order.
 // With HostReference they are all the file holds, because each is a
 // baseline that a machine-local guard reads:
-//   - RunRandom40: ns_per_op, for the disabled-observability overhead
-//     guard;
 //   - RunRandom40V2: events_per_sec, for the kernel-throughput guard,
-//     and ns_per_op, for the serve overhead guard;
+//     and ns_per_op, for the disabled-observability and serve overhead
+//     guards;
 //   - RunRandom400: events_per_sec, for the kernel-throughput guard.
 func BenchGuarded() []BenchWorkload {
 	return []BenchWorkload{
-		{"RunRandom40", BenchScenarioRandom40()},
 		{"RunRandom40V2", BenchScenarioRandom40V2()},
 		{"RunRandom400", BenchScenarioRandom400()},
 	}

@@ -57,12 +57,9 @@ func TestKernelThroughputGuard(t *testing.T) {
 		refRecorded, refNow, hostScale)
 
 	for _, w := range dcfguard.BenchGuarded() {
-		// The two v2 workloads, the default channel: they cover the
-		// slab kernel, the calendar queue, and the batched counter-RNG
-		// fast path. RunRandom40 is the v1 pair the overhead guard reads.
-		if w.Name != "RunRandom40V2" && w.Name != "RunRandom400" {
-			continue
-		}
+		// Both guarded workloads run the default v2 channel: they cover
+		// the slab kernel, the calendar queue, and the
+		// batched counter-RNG fast path.
 		name, s := w.Name, w.Scenario
 		t.Run(name, func(t *testing.T) {
 			base := bench[name].EventsPerSec

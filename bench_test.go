@@ -186,14 +186,8 @@ func BenchmarkRunCorrectStar(b *testing.B) {
 	benchScenario(b, BenchScenarioCorrectStar())
 }
 
-// BenchmarkRunRandom40 measures kernel throughput on the Figure-9
+// BenchmarkRunRandom40V2 measures kernel throughput on the Figure-9
 // 40-node random topology.
-func BenchmarkRunRandom40(b *testing.B) {
-	benchScenario(b, BenchScenarioRandom40())
-}
-
-// BenchmarkRunRandom40V2 is RunRandom40 under channel model v2 — it
-// bounds the v2 overhead at paper scale.
 func BenchmarkRunRandom40V2(b *testing.B) {
 	benchScenario(b, BenchScenarioRandom40V2())
 }
@@ -207,10 +201,4 @@ func BenchmarkRunRandom200(b *testing.B) {
 // BenchmarkRunRandom400 measures v2 scaling at 400 nodes.
 func BenchmarkRunRandom400(b *testing.B) {
 	benchScenario(b, BenchScenarioRandom400())
-}
-
-// BenchmarkRunRandom400V1 is the v1 baseline for the 400-node workload;
-// the RunRandom400 / RunRandom400V1 ratio is the v2 speedup.
-func BenchmarkRunRandom400V1(b *testing.B) {
-	benchScenario(b, BenchScenarioRandom400V1())
 }

@@ -49,7 +49,7 @@ func run() error {
 		journal  = flag.String("journal", "", "journal directory for resumable sweeps (fig faults)")
 		seedTO   = flag.Duration("seedtimeout", 0, "wall-time budget per seed in resumable sweeps (0 disables)")
 		diagCSV  = flag.String("diag-trail", "", "also export the CORRECT PM-80 diagnosis trail (per-window monitor decisions) as CSV to this path; use -fig none for the trail alone")
-		channel  = flag.String("channel", "v2", "channel model for every figure: v2 (default) or v1 (reproduces tables recorded before the v2 default flip)")
+		channel  = flag.String("channel", "v2", "channel model for every figure: v2 (default) or v3 (v2 + propagation delay)")
 	)
 	flag.Parse()
 	drawCharts = *chart
@@ -71,14 +71,11 @@ func run() error {
 	if *duration > 0 {
 		cfg.Duration = dcfguard.Time(*duration)
 	}
-	switch *channel {
-	case "v2":
-		cfg.Channel = dcfguard.ChannelV2
-	case "v1":
-		cfg.Channel = dcfguard.ChannelV1
-	default:
-		return fmt.Errorf("unknown channel model %q (want v1 or v2)", *channel)
+	ch, err := experiment.ParseChannel(*channel)
+	if err != nil {
+		return err
 	}
+	cfg.Channel = ch
 	if *journal != "" {
 		// Cells are keyed by (scenario name, seed), and the names do not
 		// carry the duration or channel: pin the whole config, minus the

@@ -176,7 +176,7 @@ func parseCLI(args []string) (*cli, error) {
 	fs.StringVar(&c.memProf, "memprofile", "", "write a heap profile to this file at exit")
 	fs.StringVar(&c.execTr, "trace", "", "write a Go execution trace to this file")
 	fs.StringVar(&c.csvPath, "csv", "", "write raw per-run metrics (one row per seed) to this CSV file")
-	fs.StringVar(&c.channel, "channel", "v2", "channel model: v2 (counter RNG + spatial index, default), v1 (paper-exact sequential stream), or v3 (v2 + propagation delay; required for -shards)")
+	fs.StringVar(&c.channel, "channel", "v2", "channel model: v2 (counter RNG + spatial index, default) or v3 (v2 + propagation delay; required for -shards)")
 	fs.IntVar(&c.shards, "shards", 1, "partition the nodes onto this many parallel schedulers (requires -channel v3; 1 = serial)")
 	fs.BoolVar(&c.scaled, "scaled", false, "with -random: scale the arena with node count (constant density) instead of the fixed Figure-9 area")
 	fs.Float64Var(&c.fer, "fer", 0, "i.i.d. frame-error rate in [0,1) injected after collision resolution")

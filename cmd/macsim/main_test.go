@@ -105,6 +105,7 @@ func TestFlagsToScenario(t *testing.T) {
 		}},
 		{name: "negative shards", args: []string{"-shards", "-1"}, wantErr: "negative shard count"},
 		{name: "channel unknown", args: []string{"-channel", "v9"}, wantErr: "unknown channel model"},
+		{name: "channel v1 retired", args: []string{"-channel", "v1"}, wantErr: "v1 was retired"},
 		{name: "pcap without timeline", args: []string{"-pcap", "f.pcap"}, wantErr: "-pcap requires -timeline"},
 		{name: "journal without seeds", args: []string{"-journal", "j"}, wantErr: "-journal requires -seeds"},
 		{name: "per-node with seeds", args: []string{"-seeds", "2", "-per-node"}, wantErr: "-per-node cannot be combined with -seeds"},

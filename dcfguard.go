@@ -171,12 +171,10 @@ const (
 	StrategyAttemptLiar   = experiment.StrategyAttemptLiar
 )
 
-// Channel model constants: v1 is the original sequential-stream channel
-// (the default), v2 the counter-RNG + spatial-index channel for large
-// topologies, v3 the propagation-delay channel required for sharded
-// runs (Scenario.Shards > 1).
+// Channel model constants: v2 is the counter-RNG + spatial-index
+// channel (the zero value and the default), v3 the propagation-delay
+// channel required for sharded runs (Scenario.Shards > 1).
 const (
-	ChannelV1 = experiment.ChannelV1
 	ChannelV2 = experiment.ChannelV2
 	ChannelV3 = experiment.ChannelV3
 )

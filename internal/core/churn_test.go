@@ -75,7 +75,7 @@ func TestMonitorChurnResync(t *testing.T) {
 			}
 
 			h.crashRestart(100 * sim.Millisecond)
-			preDeviations := len(h.deviations)
+			preDeviations := len(h.deviations())
 			preClassified := len(h.classified())
 
 			// First post-restart exchange: the wiped receiver has no
@@ -85,7 +85,7 @@ func TestMonitorChurnResync(t *testing.T) {
 			if newAssigned < 0 {
 				t.Fatal("restarted monitor refused the first exchange")
 			}
-			if len(h.deviations) != preDeviations {
+			if len(h.deviations()) != preDeviations {
 				t.Fatalf("first post-restart exchange flagged a deviation (sender was counting state the receiver lost)")
 			}
 			if len(h.classified()) != preClassified {
@@ -96,10 +96,10 @@ func TestMonitorChurnResync(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				newAssigned = h.exchange(tc.resumed(newAssigned))
 			}
-			gotDeviations := len(h.deviations) > preDeviations
+			gotDeviations := len(h.deviations()) > preDeviations
 			if gotDeviations != tc.wantDeviations {
 				t.Fatalf("deviations after resync = %v, want %v (%d flagged)",
-					gotDeviations, tc.wantDeviations, len(h.deviations)-preDeviations)
+					gotDeviations, tc.wantDeviations, len(h.deviations())-preDeviations)
 			}
 			gotMis := false
 			for _, mis := range h.classified()[preClassified:] {

@@ -10,15 +10,11 @@ import (
 	"dcfguard/internal/sim"
 )
 
-// Events are optional observation callbacks. Nil fields are skipped.
-// Per-packet verdicts and attempt-verification proofs are not callbacks:
-// they are the "window" and "proven" records on the CatDiagnosis trace
-// bus (see Instrument), which is what run metrics count.
-type Events struct {
-	// OnDeviation fires when equation (1) flags a transmission as
-	// deviating; penalty is the slots added to the next assignment.
-	OnDeviation func(sender frame.NodeID, deviation float64, penalty int, now sim.Time)
-}
+// Events is NewMonitor's observation argument. It has no fields:
+// deviations, per-packet verdicts and attempt-verification proofs are
+// the "deviation", "window" and "proven" records on the trace bus (see
+// Instrument), which is what run metrics count.
+type Events struct{}
 
 // Monitor is the paper's receiver: it assigns backoff values to senders,
 // measures B_act between exchanges, detects deviations, applies the
@@ -30,7 +26,6 @@ type Monitor struct {
 	macParams mac.Params
 	src       *rng.Source
 	observer  *IdleObserver
-	events    Events
 	adaptive  *AdaptiveThresh // nil unless Params.AdaptiveThresh
 
 	senders map[frame.NodeID]*senderRecord
@@ -119,7 +114,7 @@ func refKey(node, peer frame.NodeID, kind uint8) uint64 {
 var _ mac.ReceiverHook = (*Monitor)(nil)
 
 // NewMonitor builds the receiver-side engine for the node self.
-func NewMonitor(self frame.NodeID, params Params, macParams mac.Params, src *rng.Source, events Events) *Monitor {
+func NewMonitor(self frame.NodeID, params Params, macParams mac.Params, src *rng.Source, _ Events) *Monitor {
 	if err := params.Validate(); err != nil {
 		panic(fmt.Sprintf("core: monitor for node %d: %v", self, err))
 	}
@@ -132,7 +127,6 @@ func NewMonitor(self frame.NodeID, params Params, macParams mac.Params, src *rng
 		macParams: macParams,
 		src:       src,
 		observer:  NewIdleObserver(macParams.SlotTime, macParams.DIFS(), params.HistoryHorizon),
-		events:    events,
 		senders:   make(map[frame.NodeID]*senderRecord),
 	}
 	if params.AdaptiveThresh {
@@ -331,9 +325,6 @@ func (m *Monitor) check(r *senderRecord, rts frame.Frame, start, end sim.Time) {
 				Self:   obs.Ref{When: end, Key: refKey(m.self, rts.Src, refKindDeviation), Seq: rts.Seq},
 				Parent: r.assignRef,
 			})
-		}
-		if m.events.OnDeviation != nil {
-			m.events.OnDeviation(rts.Src, deviation, penalty, end)
 		}
 	}
 

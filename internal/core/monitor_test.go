@@ -20,31 +20,24 @@ type monitorHarness struct {
 	seq      uint32
 	assigned int
 
-	diagnosis  *obs.CaptureSink
-	deviations []float64
-	penalties  []int
+	diagnosis *obs.CaptureSink
 }
 
 func newHarness(params Params) *monitorHarness {
 	h := &monitorHarness{mp: mac.DefaultParams(), assigned: -1}
-	events := Events{
-		OnDeviation: func(_ frame.NodeID, dev float64, pen int, _ sim.Time) {
-			h.deviations = append(h.deviations, dev)
-			h.penalties = append(h.penalties, pen)
-		},
-	}
-	h.m = NewMonitor(9, params, h.mp, rng.New(42), events)
+	h.m = NewMonitor(9, params, h.mp, rng.New(42), Events{})
 	h.diagnosis = captureDiagnosis(h.m)
 	h.now = sim.Millisecond
 	return h
 }
 
-// captureDiagnosis subscribes a capture sink to m's CatDiagnosis
-// records: the per-packet "window" verdicts and the "proven" catches.
+// captureDiagnosis subscribes a capture sink to m's CatDiagnosis and
+// CatDeviation records: the per-packet "window" verdicts, the "proven"
+// catches and the "deviation" flags.
 func captureDiagnosis(m *Monitor) *obs.CaptureSink {
 	c := obs.NewCaptureSink()
 	bus := &obs.Bus{}
-	bus.Subscribe(obs.CategorySet(0).Set(obs.CatDiagnosis), c)
+	bus.Subscribe(obs.CategorySet(0).Set(obs.CatDiagnosis).Set(obs.CatDeviation), c)
 	m.Instrument(nil, bus)
 	return c
 }
@@ -66,6 +59,30 @@ func (h *monitorHarness) diffs() []float64 {
 	for _, r := range h.diagnosis.Records() {
 		if r.Event == "window" {
 			out = append(out, r.A)
+		}
+	}
+	return out
+}
+
+// deviations returns the deviation of every transmission equation (1)
+// flagged, in order.
+func (h *monitorHarness) deviations() []float64 {
+	var out []float64
+	for _, r := range h.diagnosis.Records() {
+		if r.Event == "deviation" {
+			out = append(out, r.A)
+		}
+	}
+	return out
+}
+
+// penalties returns the penalty slots of every flagged transmission, in
+// order.
+func (h *monitorHarness) penalties() []int {
+	var out []int
+	for _, r := range h.diagnosis.Records() {
+		if r.Event == "deviation" {
+			out = append(out, int(r.B))
 		}
 	}
 	return out
@@ -153,8 +170,8 @@ func TestMonitorHonestSenderNoDeviation(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		assigned = h.exchange(assigned) // count exactly what was assigned
 	}
-	if len(h.deviations) != 0 {
-		t.Fatalf("honest sender flagged %d deviations: %v", len(h.deviations), h.deviations)
+	if len(h.deviations()) != 0 {
+		t.Fatalf("honest sender flagged %d deviations: %v", len(h.deviations()), h.deviations())
 	}
 	for i, mis := range h.classified() {
 		if mis {
@@ -174,24 +191,24 @@ func TestMonitorDetectsDeviation(t *testing.T) {
 	assigned := h.exchange(5)
 	// Count only half the assignment.
 	h.exchange(assigned / 2)
-	if len(h.deviations) != 1 {
-		t.Fatalf("deviations = %v, want exactly one", h.deviations)
+	if len(h.deviations()) != 1 {
+		t.Fatalf("deviations = %v, want exactly one", h.deviations())
 	}
 	wantDev := params.Alpha*float64(assigned) - float64(assigned/2)
-	if h.deviations[0] != wantDev {
-		t.Fatalf("deviation = %v, want %v", h.deviations[0], wantDev)
+	if h.deviations()[0] != wantDev {
+		t.Fatalf("deviation = %v, want %v", h.deviations()[0], wantDev)
 	}
 	wantPen := int(params.PenaltyFactor*wantDev + 0.5)
-	if h.penalties[0] != wantPen {
-		t.Fatalf("penalty = %d, want %d", h.penalties[0], wantPen)
+	if h.penalties()[0] != wantPen {
+		t.Fatalf("penalty = %d, want %d", h.penalties()[0], wantPen)
 	}
 }
 
 func TestMonitorPenaltyRaisesNextAssignment(t *testing.T) {
 	h := newHarness(DefaultParams())
 	assigned := h.exchange(5)
-	next := h.exchange(0)     // maximal misbehavior for this packet
-	wantMin := h.penalties[0] // base ≥ 0, so assignment ≥ penalty
+	next := h.exchange(0)       // maximal misbehavior for this packet
+	wantMin := h.penalties()[0] // base ≥ 0, so assignment ≥ penalty
 	if next < wantMin {
 		t.Fatalf("assignment after deviation = %d, want ≥ penalty %d", next, wantMin)
 	}
@@ -207,8 +224,8 @@ func TestMonitorAlphaToleratesSlightShortfall(t *testing.T) {
 	}
 	// Count 95% of the assignment: above α ⇒ no deviation.
 	h.exchange(assigned * 95 / 100)
-	if len(h.deviations) != 0 {
-		t.Fatalf("95%% compliance flagged as deviation (α=0.9): %v", h.deviations)
+	if len(h.deviations()) != 0 {
+		t.Fatalf("95%% compliance flagged as deviation (α=0.9): %v", h.deviations())
 	}
 }
 
@@ -305,8 +322,8 @@ func TestMonitorRetryChainEstimation(t *testing.T) {
 	bexp := ExpectedBackoff(assigned, 1, 3, h.mp, true)
 	h.seq++
 	h.exchangeSeq(h.seq, 3, bexp)
-	if len(h.deviations) != 0 {
-		t.Fatalf("honest retry chain flagged: %v", h.deviations)
+	if len(h.deviations()) != 0 {
+		t.Fatalf("honest retry chain flagged: %v", h.deviations())
 	}
 	if d := h.diffs()[len(h.diffs())-1]; d != 0 {
 		t.Fatalf("retry diff = %v, want 0", d)
@@ -325,8 +342,8 @@ func TestMonitorDuplicateRetryUsesChainOnly(t *testing.T) {
 	// counting `first` for seq 2, so the chain is keyed on `first`.
 	chain := ExpectedBackoff(first, 1, 2, h.mp, false)
 	h.exchangeSeq(2, 2, chain)
-	if len(h.deviations) != 0 {
-		t.Fatalf("honest duplicate retry flagged: %v (diffs %v)", h.deviations, h.diffs())
+	if len(h.deviations()) != 0 {
+		t.Fatalf("honest duplicate retry flagged: %v (diffs %v)", h.deviations(), h.diffs())
 	}
 	if d := h.diffs()[len(h.diffs())-1]; d != 0 {
 		t.Fatalf("duplicate retry diff = %v, want 0", d)
@@ -423,8 +440,8 @@ func TestMonitorGreedyAssignsZeroBase(t *testing.T) {
 	if got := h.exchange(0); got != 0 {
 		t.Fatalf("greedy steady-state assignment = %d, want 0", got)
 	}
-	if len(h.deviations) != 0 {
-		t.Fatalf("compliant sender penalised by greedy receiver: %v", h.deviations)
+	if len(h.deviations()) != 0 {
+		t.Fatalf("compliant sender penalised by greedy receiver: %v", h.deviations())
 	}
 }
 
@@ -436,7 +453,7 @@ func TestMonitorPenaltyCap(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h.exchange(0)
 	}
-	for _, p := range h.penalties {
+	for _, p := range h.penalties() {
 		if p > 50 {
 			t.Fatalf("penalty %d exceeds cap 50", p)
 		}

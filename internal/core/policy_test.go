@@ -117,9 +117,14 @@ type coreFixture struct {
 	monitor  *Monitor
 	receiver *mac.Node
 	senders  map[frame.NodeID]*mac.Node
-	success  map[frame.NodeID]int
 	// diagnosis captures the monitor's CatDiagnosis records.
 	diagnosis *obs.CaptureSink
+}
+
+// success returns the packets sender id has had acknowledged.
+func (fx *coreFixture) success(id frame.NodeID) int {
+	n, _, _ := fx.senders[id].Counters()
+	return int(n)
 }
 
 // newCoreFixture builds a receiver running the Monitor at the origin and
@@ -136,7 +141,6 @@ func newCoreFixture(t *testing.T, params Params, policies map[frame.NodeID]mac.B
 		sched:   &sched,
 		med:     med,
 		senders: make(map[frame.NodeID]*mac.Node),
-		success: make(map[frame.NodeID]int),
 	}
 	const rxID = frame.NodeID(0)
 	fx.monitor = NewMonitor(rxID, params, mac.DefaultParams(), rng.New(5), Events{})
@@ -151,14 +155,8 @@ func newCoreFixture(t *testing.T, params Params, policies map[frame.NodeID]mac.B
 		if !ok {
 			t.Fatalf("policies must use dense IDs starting at 1; missing %d", id)
 		}
-		id := id
 		var n *mac.Node
-		cb := mac.Callbacks{
-			OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, _, _ sim.Time) {
-				fx.success[id]++
-			},
-			OnQueueSpace: func(sim.Time) { n.Enqueue(0, 512) },
-		}
+		cb := mac.Callbacks{OnQueueSpace: func(sim.Time) { n.Enqueue(0, 512) }}
 		n = mac.NewNode(id, mac.DefaultParams(), &sched, med, pol, nil, cb)
 		fx.senders[id] = n
 		med.Attach(id, phys.OnCircle(phys.Point{}, 150, int(id-1), len(policies)), radio, n)
@@ -181,8 +179,8 @@ func TestIntegrationHonestSendersCleanDiagnosis(t *testing.T) {
 
 	classifiedMis, classifiedOK := verdicts(fx.diagnosis)
 	for id := frame.NodeID(1); id <= 3; id++ {
-		if fx.success[id] < 100 {
-			t.Errorf("sender %d completed only %d packets", id, fx.success[id])
+		if fx.success(id) < 100 {
+			t.Errorf("sender %d completed only %d packets", id, fx.success(id))
 		}
 		if classifiedMis[id] != 0 {
 			t.Errorf("honest sender %d misdiagnosed %d times (ok %d)",
@@ -311,8 +309,8 @@ func TestIntegrationCorrectionLimitsMisbehaverThroughput(t *testing.T) {
 			_ = fx
 		}
 		fx.sched.Run(10 * sim.Second)
-		honest = float64(fx.success[1]+fx.success[3]) / 2
-		mis = float64(fx.success[2])
+		honest = float64(fx.success(1)+fx.success(3)) / 2
+		mis = float64(fx.success(2))
 		return honest, mis
 	}
 

@@ -3,9 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-
-	"dcfguard/internal/frame"
-	"dcfguard/internal/sim"
 )
 
 // TestQuickMonitorInvariants drives a monitor with arbitrary sender
@@ -21,15 +18,6 @@ func TestQuickMonitorInvariants(t *testing.T) {
 	f := func(slots []uint16, seed uint64) bool {
 		params := DefaultParams()
 		h := newHarness(params)
-		ok := true
-		h.m.events.OnDeviation = func(_ frame.NodeID, dev float64, pen int, _ sim.Time) {
-			if pen < 0 || (params.PenaltyCap > 0 && pen > params.PenaltyCap) {
-				ok = false
-			}
-			if dev <= 0 {
-				ok = false
-			}
-		}
 		assigned := h.exchange(5)
 		for _, s := range slots {
 			if len(slots) > 40 {
@@ -60,7 +48,17 @@ func TestQuickMonitorInvariants(t *testing.T) {
 				}
 			}
 		}
-		return ok
+		for _, pen := range h.penalties() {
+			if pen < 0 || (params.PenaltyCap > 0 && pen > params.PenaltyCap) {
+				return false
+			}
+		}
+		for _, dev := range h.deviations() {
+			if dev <= 0 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

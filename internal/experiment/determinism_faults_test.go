@@ -13,13 +13,13 @@ import (
 // run, and a node-churn run, 2 s each, seeds 1-3. They pin the injector's
 // counter-RNG draw discipline and the churn schedule: any change to a
 // link key, a Markov step, or a crash instant shifts these checksums.
-// Like the v1 goldens, they were captured once from the implementation
-// under test review and must not be updated to paper over a behavioral
-// change.
+// Like the other goldens, they were captured once from the
+// implementation under test review and must not be updated to paper
+// over a behavioral change.
 
 // faultResultChecksum extends the golden checksum with the two
-// fault-specific Result fields (which are always zero in the v1/v2
-// golden scenarios, so those goldens keep their original function).
+// fault-specific Result fields (which are always zero in the v2 golden
+// scenarios, so those goldens keep their original function).
 func faultResultChecksum(r Result) uint64 {
 	s := fmt.Sprintf("%#x|%d|%d", resultChecksum(r), r.FaultDrops, r.Restarts)
 	const (
@@ -36,41 +36,29 @@ func faultResultChecksum(r Result) uint64 {
 
 func faultGoldenScenarios() []Scenario {
 	fer := DefaultScenario()
-	fer.Channel = ChannelV1 // fault goldens captured on the v1 channel
-	fer.Name = "faults-fer20"
+	fer.Name = "faults-fer20-v2"
 	fer.PM = 80
 	fer.Duration = 2 * sim.Second
 	fer.Faults.FER = 0.20
 
 	burst := DefaultScenario()
-	burst.Channel = ChannelV1 // fault goldens captured on the v1 channel
-	burst.Name = "faults-burst20"
+	burst.Name = "faults-burst20-v2"
 	burst.PM = 80
 	burst.Duration = 2 * sim.Second
 	ge := faults.GEForMeanFER(0.20, 0.25)
 	burst.Faults.Burst = &ge
 
 	churn := DefaultScenario()
-	churn.Channel = ChannelV1 // fault goldens captured on the v1 channel
-	churn.Name = "faults-churn"
+	churn.Name = "faults-churn-v2"
 	churn.PM = 80
 	churn.Duration = 2 * sim.Second
 	churn.Faults.ChurnInterval = 500 * sim.Millisecond
 	churn.Faults.ChurnDowntime = 100 * sim.Millisecond
 
-	out := []Scenario{fer, burst, churn}
-	for _, s := range []Scenario{fer, burst, churn} {
-		s.Name += "-v2"
-		s.Channel = ChannelV2
-		out = append(out, s)
-	}
-	return out
+	return []Scenario{fer, burst, churn}
 }
 
 var faultGoldenChecksums = map[string][3]uint64{
-	"faults-fer20":      {0xc11fc3189f35e7f9, 0x930e7c07df0e5025, 0x12c48e0c0821b711},
-	"faults-burst20":    {0xb39be07a71e00546, 0x11bf1e06cdb4a3d1, 0xd4a1cc0d651f2349},
-	"faults-churn":      {0x2d30173547302e46, 0xe1c53916a88a026a, 0xb4b854afb0002370},
 	"faults-fer20-v2":   {0xab72535b9dd8b8a1, 0xb2f777e777b2b5fd, 0xb7bf8129ef9cdc98},
 	"faults-burst20-v2": {0x830587214c55989d, 0x89975e107aa17f21, 0x6f7ff24992cec712},
 	"faults-churn-v2":   {0xa59d5a879842dbef, 0x37b4c71e856f233e, 0x517da0badef93fd3},

@@ -25,14 +25,12 @@ func goldenScenariosLongRun() []Scenario {
 	starCorrect.Protocol = ProtocolCorrect
 	starCorrect.PM = 80
 	starCorrect.Duration = 10 * sim.Second
-	starCorrect.Channel = ChannelV2
 
 	colluding := DefaultScenario()
 	colluding.Name = "colluding-watchdog-v2-10s"
 	colluding.Protocol = ProtocolCorrect
 	colluding.PM = 100
 	colluding.Duration = 10 * sim.Second
-	colluding.Channel = ChannelV2
 	colluding.ColludingReceivers = []frame.NodeID{1}
 	colluding.Watchdog = true
 	pair := receiverPairTopo()

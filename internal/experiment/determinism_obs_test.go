@@ -11,8 +11,8 @@ import (
 // Observability pass-through goldens: the obs layer's hard contract is
 // that enabling every metric and every trace category changes no RNG
 // draw and schedules no event, so a fully instrumented run must hash to
-// the *same* golden checksums pinned by determinism_test.go,
-// determinism_v2_test.go and determinism_faults_test.go. A mismatch here
+// the *same* golden checksums pinned by determinism_v2_test.go and
+// determinism_faults_test.go. A mismatch here
 // with those suites green means an instrumentation hook leaked into
 // simulation behavior (an extra draw, a reordered event, a mutated
 // field) — fix the hook, never the golden.
@@ -40,7 +40,6 @@ func TestObservabilityPassThrough(t *testing.T) {
 		checksum  func(Result) uint64
 		goldens   map[string][3]uint64
 	}{
-		{"v1", goldenScenarios(), resultChecksum, goldenChecksums},
 		{"v2", goldenScenariosV2(), resultChecksum, goldenChecksumsV2},
 		{"faults", faultGoldenScenarios(), faultResultChecksum, faultGoldenChecksums},
 	}

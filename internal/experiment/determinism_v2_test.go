@@ -26,14 +26,12 @@ func goldenScenariosV2() []Scenario {
 	starCorrect.Protocol = ProtocolCorrect
 	starCorrect.PM = 80
 	starCorrect.Duration = 2 * sim.Second
-	starCorrect.Channel = ChannelV2
 
 	random40 := DefaultScenario()
 	random40.Name = "random-40-v2"
 	random40.Topo = RandomTopo(40, 5)
 	random40.PM = 80
 	random40.Duration = 2 * sim.Second
-	random40.Channel = ChannelV2
 
 	starCoherent := DefaultScenario()
 	starCoherent.Name = "star-coherent-v2"
@@ -41,7 +39,6 @@ func goldenScenariosV2() []Scenario {
 	starCoherent.PM = 80
 	starCoherent.Duration = 2 * sim.Second
 	starCoherent.CoherenceInterval = 20 * sim.Microsecond
-	starCoherent.Channel = ChannelV2
 
 	star80211 := DefaultScenario()
 	star80211.Name = "star-802.11-v2"

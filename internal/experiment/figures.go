@@ -32,11 +32,8 @@ type Config struct {
 	Fig8PMs []int
 	// FERs is the ExtFaultTolerance frame-error-rate sweep.
 	FERs []float64
-	// Channel selects the channel model for every generated scenario.
-	// The default configs use ChannelV2; ChannelV1 (cmd/figures
-	// -channel v1) reproduces tables recorded before the v2 default
-	// flip byte-for-byte (DESIGN.md §10). Note the zero value reads as
-	// ChannelV1 — construct configs via DefaultConfig/QuickConfig.
+	// Channel selects the channel model for every generated scenario;
+	// the zero value is ChannelV2.
 	Channel ChannelModel
 }
 
@@ -49,7 +46,6 @@ func DefaultConfig() Config {
 		NetworkSizes: []int{1, 2, 4, 8, 16, 32, 64},
 		Fig8PMs:      []int{40, 60, 80},
 		FERs:         []float64{0, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30},
-		Channel:      ChannelV2,
 	}
 }
 
@@ -62,7 +58,6 @@ func QuickConfig() Config {
 		NetworkSizes: []int{1, 4, 8},
 		Fig8PMs:      []int{40, 80},
 		FERs:         []float64{0, 0.15, 0.30},
-		Channel:      ChannelV2,
 	}
 }
 

@@ -19,7 +19,6 @@ func tiny() Config {
 		PMs:          []int{0, 80},
 		NetworkSizes: []int{1, 4},
 		Fig8PMs:      []int{80},
-		Channel:      ChannelV2,
 	}
 }
 

@@ -21,7 +21,6 @@ func tinyConfig() experiment.Config {
 		NetworkSizes: []int{1, 4},
 		Fig8PMs:      []int{40, 80},
 		FERs:         []float64{0, 0.2},
-		Channel:      experiment.ChannelV2,
 	}
 }
 

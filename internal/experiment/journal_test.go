@@ -266,10 +266,10 @@ func TestClaimJournalConfig(t *testing.T) {
 		t.Fatalf("first sweep ran %d cells, want 2", rep.Ran)
 	}
 
-	longer, v1 := cfg, cfg
+	longer, v3 := cfg, cfg
 	longer.Duration = 3 * sim.Second
-	v1.Channel = ChannelV1
-	for name, c := range map[string]Config{"duration": longer, "channel": v1} {
+	v3.Channel = ChannelV3
+	for name, c := range map[string]Config{"duration": longer, "channel": v3} {
 		if err := claim(c); err == nil || !strings.Contains(err.Error(), "records a different configuration") {
 			t.Fatalf("changed %s over the journal: err %v", name, err)
 		}

@@ -16,12 +16,12 @@ import (
 // TestGeneratorsPlanOneSweep: every generator lists all its cells up
 // front and runs them as one sweep, every cell carries the config's
 // channel and duration, and no two cells share a (name, seed) key. The
-// config asks for channel v1, which no scenario gets by default, so a
+// config asks for channel v3, which no scenario gets by default, so a
 // generator that builds from DefaultScenario and forgets cfg.Channel
 // shows here. The sweep is faked, so nothing is simulated.
 func TestGeneratorsPlanOneSweep(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Channel = experiment.ChannelV1
+	cfg.Channel = experiment.ChannelV3
 	for _, g := range generators {
 		var sweeps [][]experiment.SweepCell
 		restore := experiment.SwapSweep(func(cells []experiment.SweepCell, _ experiment.SweepOptions) (experiment.SweepReport, error) {

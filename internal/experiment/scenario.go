@@ -23,13 +23,8 @@ import (
 type ChannelModel = medium.ChannelModel
 
 const (
-	// ChannelV1 is the original sequential-stream channel (the zero
-	// value; bit-identical to the seed implementation). Kept selectable
-	// for byte-exact reproduction of pre-v2 runs and goldens.
-	ChannelV1 = medium.ChannelV1
 	// ChannelV2 is the counter-RNG + spatial-index channel (see
-	// internal/medium/index.go) — the default since DefaultScenario
-	// flipped to it (DESIGN.md §10).
+	// internal/medium/index.go), the zero value and the default.
 	ChannelV2 = medium.ChannelV2
 	// ChannelV3 is v2 plus a uniform per-link propagation delay and
 	// keyed event ordering (see internal/medium/v3.go) — required for
@@ -128,10 +123,9 @@ type Scenario struct {
 	// CoherenceInterval, when positive, enables sub-frame carrier-sense
 	// re-draws in the medium.
 	CoherenceInterval sim.Time
-	// Channel selects the medium's channel model: ChannelV1 (the
-	// zero value, bit-identical to the original goldens; the default
-	// from DefaultScenario is ChannelV2) or ChannelV2 (per-pair
-	// counter RNG + spatial neighbor index, for 200+ node topologies).
+	// Channel selects the medium's channel model: ChannelV2 (the zero
+	// value; per-pair counter RNG + spatial neighbor index) or
+	// ChannelV3 (v2 plus a propagation delay, for sharded runs).
 	Channel ChannelModel
 	// Shards is the number of scheduler shards the run is spatially
 	// partitioned across (0 and 1 both mean the serial kernel).
@@ -165,7 +159,7 @@ type Scenario struct {
 	TraceEvents int
 	// Faults configures channel-error and node-churn fault injection
 	// (see internal/faults). The zero value disables everything, and a
-	// disabled config consumes no RNG draws, so the v1/v2 goldens are
+	// disabled config consumes no RNG draws, so the goldens are
 	// bit-identical with faults off.
 	Faults faults.Config
 	// Observe configures the observability layer (metrics registry,
@@ -178,11 +172,8 @@ type Scenario struct {
 
 // DefaultScenario returns the paper's base configuration: Figure-3
 // ZERO-FLOW star with 8 senders, node 3 misbehaving with StrategyPartial,
-// 50 s runs, 512 B packets, 2 Mbps channel, shadowing with σ = 1 dB.
-// The channel model defaults to v2 (counter-RNG + spatial index);
-// results are statistically equivalent to v1 but not draw-for-draw
-// identical — set Channel = ChannelV1 (macsim -channel v1) to reproduce
-// the paper-exact v1 goldens.
+// 50 s runs, 512 B packets, 2 Mbps channel, shadowing with σ = 1 dB,
+// on channel model v2.
 func DefaultScenario() Scenario {
 	return Scenario{
 		Name:         "zero-flow",
@@ -198,7 +189,6 @@ func DefaultScenario() Scenario {
 		BitRate:      2_000_000,
 		BinSize:      0,
 		QueueDepth:   8,
-		Channel:      ChannelV2,
 	}
 }
 
@@ -241,7 +231,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("experiment: %s: invalid strategy %d", s.Name, s.Strategy)
 	}
 	switch s.Channel {
-	case ChannelV1, ChannelV2, ChannelV3:
+	case ChannelV2, ChannelV3:
 	default:
 		return fmt.Errorf("experiment: %s: invalid channel model %d", s.Name, int(s.Channel))
 	}

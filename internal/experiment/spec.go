@@ -130,7 +130,7 @@ type ScenarioSpec struct {
 	RxRangeM          float64         `json:"rx_range_m,omitempty"`
 	CsRangeM          float64         `json:"cs_range_m,omitempty"`
 	CoherenceInterval string          `json:"coherence_interval,omitempty"`
-	// Channel is "v1", "v2" (default), or "v3".
+	// Channel is "v2" (default) or "v3".
 	Channel                 string      `json:"channel,omitempty"`
 	Shards                  int         `json:"shards,omitempty"`
 	BinSize                 string      `json:"bin_size,omitempty"`
@@ -179,12 +179,12 @@ func ParseChannel(s string) (ChannelModel, error) {
 	switch s {
 	case "", "v2":
 		return ChannelV2, nil
-	case "v1":
-		return ChannelV1, nil
 	case "v3":
 		return ChannelV3, nil
+	case "v1":
+		return 0, fmt.Errorf("experiment: channel model v1 was retired; v2 is the default (run commit 4939f40 to replay v1 results)")
 	default:
-		return 0, fmt.Errorf("experiment: unknown channel model %q (want v1, v2, or v3)", s)
+		return 0, fmt.Errorf("experiment: unknown channel model %q (want v2 or v3)", s)
 	}
 }
 

@@ -165,6 +165,7 @@ func TestScenarioSpecValidation(t *testing.T) {
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", Protocol: "aloha"}, "protocol"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", Strategy: "yolo"}, "strategy"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", Channel: "v9"}, "channel"},
+		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", Channel: "v1"}, "v1 was retired"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", Shards: 2}, "v3"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", PM: 120}, "PM"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 8}, Duration: "1s", Channel: "v3", Shards: 10000}, "10000 shards exceed the topology's 9 nodes"},

@@ -11,31 +11,25 @@ import (
 )
 
 // timelineGoldenScenarios are the runs whose frame timeline and pcap
-// export are pinned byte for byte: the CORRECT star with no cap on v1
-// and on v2, a capped v2 random topology, and a capped v3 scaled random topology at
+// export are pinned byte for byte: the v2 CORRECT star with no cap, a
+// capped v2 random topology, and a capped v3 scaled random topology at
 // several shard counts. Together they cover every channel model, the
 // cap cutoff, and the sharded merge order.
 func timelineGoldenScenarios() []Scenario {
 	star := DefaultScenario()
-	star.Name = "timeline-star-v1"
-	star.Channel = ChannelV1
+	star.Name = "timeline-star-v2"
 	star.Protocol = ProtocolCorrect
 	star.PM = 80
 	star.Duration = 2 * sim.Second
 	star.TraceEvents = math.MaxInt32
 
-	starV2 := star
-	starV2.Name = "timeline-star-v2"
-	starV2.Channel = ChannelV2
-
 	random40 := DefaultScenario()
 	random40.Name = "timeline-random40-v2"
-	random40.Channel = ChannelV2
 	random40.Topo = RandomTopo(40, 5)
 	random40.Duration = sim.Second
 	random40.TraceEvents = 500
 
-	out := []Scenario{star, starV2, random40}
+	out := []Scenario{star, random40}
 	for _, shards := range []int{1, 2, 4} {
 		s := DefaultScenario()
 		s.Name = "timeline-scaled120-v3"
@@ -53,10 +47,6 @@ func timelineGoldenScenarios() []Scenario {
 // output for each scenario (seed 1). The sharded v3 runs share the
 // serial run's digests: sharding must not move a byte.
 var timelineGoldens = map[string][2]string{
-	"timeline-star-v1": {
-		"9f37344ebe51159e6b61186de8c029699c5cdae7da7399d197888cac107c3f75",
-		"5827eae499ea0e3ad919e59c793b5a77517c4deab9c61f55dc9765ff31682026",
-	},
 	"timeline-star-v2": {
 		"c38e28c3e311753dc6cbc6f4b54d7ea07004d6ef7a424fb29ea9d5e55791e157",
 		"a7641b0035d0e0e8b9ce3e89285dbb1c73d7959041c70f76f6570d50124bbc48",

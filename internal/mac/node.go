@@ -36,17 +36,10 @@ type ReceiverHook interface {
 	OnCarrierIdle(now sim.Time)
 }
 
-// Callbacks are optional observation points for traffic generators and
-// metrics. Nil fields are skipped.
+// Callbacks are optional hooks for traffic generators. Nil fields are
+// skipped. Per-packet outcomes are not callbacks: they are the node's
+// own tallies (Counters, Delay) and its CatMACState records.
 type Callbacks struct {
-	// OnSendSuccess fires at the sender when the ACK for a packet is
-	// received. attempts is the number of RTS transmissions used;
-	// enqueuedAt is when the packet entered the interface queue, so
-	// now − enqueuedAt is the packet's total MAC delay.
-	OnSendSuccess func(dst frame.NodeID, seq uint32, payloadBytes, attempts int, enqueuedAt, now sim.Time)
-	// OnSendDrop fires at the sender when a packet exhausts the retry
-	// limit and is discarded.
-	OnSendDrop func(dst frame.NodeID, seq uint32, now sim.Time)
 	// OnQueueSpace fires at the sender whenever the interface queue
 	// gains room (a packet finished or was dropped). Backlogged sources
 	// refill from here.
@@ -558,13 +551,9 @@ func (n *Node) responseTimeout() {
 	}
 	n.attempt++
 	if n.attempt > n.params.RetryLimit {
-		head := n.queue[0]
 		n.dequeueHead()
 		n.txDrop++
 		n.obs.txDrop.Inc()
-		if n.cb.OnSendDrop != nil {
-			n.cb.OnSendDrop(head.dst, head.seq, n.sched.Now())
-		}
 		n.afterExchange()
 		return
 	}
@@ -601,9 +590,6 @@ func (n *Node) onAck(ack frame.Frame) {
 	n.obs.txSuccess.Inc()
 	n.obs.attempts.Observe(float64(n.attempt))
 	n.delay.Add((n.sched.Now() - head.enqueuedAt).Seconds() * 1000)
-	if n.cb.OnSendSuccess != nil {
-		n.cb.OnSendSuccess(head.dst, head.seq, head.bytes, n.attempt, head.enqueuedAt, n.sched.Now())
-	}
 	n.afterExchange()
 }
 

@@ -64,14 +64,11 @@ func TestNegativePolicyBackoffClamped(t *testing.T) {
 	// A (buggy or malicious) policy returning negative slots must be
 	// clamped to zero, not crash the countdown arithmetic.
 	fx := newFixture()
-	var done int
-	n := NewNode(1, DefaultParams(), fx.sched, fx.med, &fixedPolicy{initial: -5}, nil,
-		Callbacks{OnSendSuccess: func(frame.NodeID, uint32, int, int, sim.Time, sim.Time) { done++ }})
-	fx.med.Attach(1, phys.Point{}, detTestRadio(), n)
+	n := fx.addNode(1, phys.Point{}, &fixedPolicy{initial: -5}, nil)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
 	n.Enqueue(2, 512)
 	fx.sched.Run(sim.Second)
-	if done != 1 {
+	if done, _, _ := n.Counters(); done != 1 {
 		t.Fatalf("negative-backoff packet not delivered (done=%d)", done)
 	}
 }
@@ -124,12 +121,10 @@ func TestNAVFromOverheardCTS(t *testing.T) {
 	// but both reach R in the middle at 240 m.
 	radio := phys.CalibratedRadio(m, 24.5, 250, 0.5, 300, 0.5, 2_000_000)
 
-	succ := make(map[frame.NodeID][]sim.Time)
+	log := newExchangeLog()
+	succ := log.succ
 	mkNode := func(id frame.NodeID, x float64, pol BackoffPolicy) *Node {
-		cb := Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, _, now sim.Time) {
-			succ[id] = append(succ[id], now)
-		}}
-		n := NewNode(id, DefaultParams(), &sched, med, pol, nil, cb)
+		n := log.watch(NewNode(id, DefaultParams(), &sched, med, pol, nil, Callbacks{}))
 		med.Attach(id, phys.Point{X: x}, radio, n)
 		return n
 	}
@@ -192,20 +187,15 @@ func TestCoherenceModeEndToEnd(t *testing.T) {
 		CoherenceInterval: 320 * sim.Microsecond,
 	}, rng.New(4))
 	radio := phys.DefaultRadio()
-	var okCount int
-	var sender *Node
-	cb := Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, _, _ sim.Time) {
-		okCount++
-		sender.Enqueue(2, 512)
-	}}
-	sender = NewNode(1, DefaultParams(), &sched, med, NewStandardPolicy(rng.New(5)), nil, cb)
+	sender := NewNode(1, DefaultParams(), &sched, med, NewStandardPolicy(rng.New(5)), nil, Callbacks{})
+	sender.SetQueueSpaceCallback(func(sim.Time) { sender.Enqueue(2, 512) })
 	med.Attach(1, phys.Point{}, radio, sender)
 	recv := NewNode(2, DefaultParams(), &sched, med, NewStandardPolicy(rng.New(6)), nil, Callbacks{})
 	med.Attach(2, phys.Point{X: 100}, radio, recv)
 
 	sender.Enqueue(2, 512)
 	sched.Run(3 * sim.Second)
-	if okCount < 500 {
+	if okCount, _, _ := sender.Counters(); okCount < 500 {
 		t.Fatalf("coherence mode delivered %d packets in 3 s, want saturation", okCount)
 	}
 }
@@ -214,9 +204,7 @@ func TestBasicAccessExchangeSequence(t *testing.T) {
 	fx := newFixture()
 	params := DefaultParams()
 	params.BasicAccess = true
-	var succ int
-	sender := NewNode(1, params, fx.sched, fx.med, &fixedPolicy{initial: 3}, nil,
-		Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, _, _ sim.Time) { succ++ }})
+	sender := NewNode(1, params, fx.sched, fx.med, &fixedPolicy{initial: 3}, nil, Callbacks{})
 	fx.med.Attach(1, phys.Point{}, detTestRadio(), sender)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
 
@@ -232,7 +220,7 @@ func TestBasicAccessExchangeSequence(t *testing.T) {
 		}
 	}
 
-	if succ != 1 {
+	if succ, _, _ := sender.Counters(); succ != 1 {
 		t.Fatalf("successes = %d", succ)
 	}
 	if len(types) != 2 || types[0] != frame.Data || types[1] != frame.Ack {
@@ -247,9 +235,7 @@ func TestBasicAccessTiming(t *testing.T) {
 	fx := newFixture()
 	params := DefaultParams()
 	params.BasicAccess = true
-	var done sim.Time
-	sender := NewNode(1, params, fx.sched, fx.med, &fixedPolicy{initial: 3}, nil,
-		Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, _, now sim.Time) { done = now }})
+	sender := fx.watch(NewNode(1, params, fx.sched, fx.med, &fixedPolicy{initial: 3}, nil, Callbacks{}))
 	fx.med.Attach(1, phys.Point{}, detTestRadio(), sender)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
 
@@ -257,8 +243,8 @@ func TestBasicAccessTiming(t *testing.T) {
 	fx.sched.Run(sim.Second)
 	// DIFS + 3 slots + DATA + SIFS + ACK.
 	want := difs + 3*slot + dataAir + sifs + ackAir
-	if done != want {
-		t.Fatalf("basic exchange done at %v, want %v", done, want)
+	if done := fx.succ[1]; len(done) != 1 || done[0] != want {
+		t.Fatalf("basic exchange done at %v, want [%v]", done, want)
 	}
 }
 
@@ -268,9 +254,7 @@ func TestBasicAccessRetriesOnAckTimeout(t *testing.T) {
 	fx := newFixture()
 	params := DefaultParams()
 	params.BasicAccess = true
-	drops := 0
-	sender := NewNode(1, params, fx.sched, fx.med, &fixedPolicy{initial: 0, retries: map[int]int{}}, nil,
-		Callbacks{OnSendDrop: func(frame.NodeID, uint32, sim.Time) { drops++ }})
+	sender := NewNode(1, params, fx.sched, fx.med, &fixedPolicy{initial: 0, retries: map[int]int{}}, nil, Callbacks{})
 	fx.med.Attach(1, phys.Point{}, detTestRadio(), sender)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), &stubHook{respond: false, suppressAck: true})
 
@@ -284,7 +268,7 @@ func TestBasicAccessRetriesOnAckTimeout(t *testing.T) {
 		}
 	}
 
-	if drops != 1 {
+	if _, drops, _ := sender.Counters(); drops != 1 {
 		t.Fatalf("drops = %d, want 1", drops)
 	}
 	if len(attempts) != DefaultParams().RetryLimit {
@@ -350,35 +334,27 @@ func TestEIFSDefersAfterCollision(t *testing.T) {
 	}
 }
 
+// TestDelayReportedInCallback pins the delay of one uncontended packet
+// in the sender's delay tally.
 func TestDelayReportedInCallback(t *testing.T) {
 	fx := newFixture()
-	var delay sim.Time
-	var n *Node
-	cb := Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, enqueuedAt, now sim.Time) {
-		delay = now - enqueuedAt
-	}}
-	n = NewNode(1, DefaultParams(), fx.sched, fx.med, &fixedPolicy{initial: 3}, nil, cb)
-	fx.med.Attach(1, phys.Point{}, detTestRadio(), n)
+	n := fx.addNode(1, phys.Point{}, &fixedPolicy{initial: 3}, nil)
 	fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
 
 	fx.sched.At(sim.Millisecond, func() { n.Enqueue(2, 512) })
 	fx.sched.Run(sim.Second)
 	want := difs + 3*slot + exchange
-	if delay != want {
-		t.Fatalf("delay = %v, want %v (uncontended single exchange)", delay, want)
+	if w := n.Delay(); w.N() != 1 || w.Mean() != want.Seconds()*1000 {
+		t.Fatalf("delay tally %d packets, mean %v ms; want 1 packet of %v (uncontended single exchange)",
+			w.N(), w.Mean(), want)
 	}
 }
 
 // TestDelayAccounting pins the sender's own delay tally (what run
-// metrics read) against the per-packet delays the callback reports.
+// metrics read) against the per-packet delays its exchanges took.
 func TestDelayAccounting(t *testing.T) {
 	fx := newFixture()
-	var sumMs float64
-	cb := Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, enqueuedAt, now sim.Time) {
-		sumMs += (now - enqueuedAt).Seconds() * 1000
-	}}
-	n := NewNode(1, DefaultParams(), fx.sched, fx.med, &fixedPolicy{initial: 3}, nil, cb)
-	fx.med.Attach(1, phys.Point{}, detTestRadio(), n)
+	n := fx.addNode(1, phys.Point{}, &fixedPolicy{initial: 3}, nil)
 	recv := fx.addNode(2, phys.Point{X: 100}, NewStandardPolicy(rng.New(2)), nil)
 
 	fx.sched.At(sim.Millisecond, func() {
@@ -386,6 +362,10 @@ func TestDelayAccounting(t *testing.T) {
 		n.Enqueue(2, 512)
 	})
 	fx.sched.Run(sim.Second)
+	var sumMs float64
+	for _, done := range fx.succ[1] {
+		sumMs += (done - sim.Millisecond).Seconds() * 1000
+	}
 	w := n.Delay()
 	if w.N() != 2 {
 		t.Fatalf("delay tally holds %d packets, want 2", w.N())

@@ -81,10 +81,56 @@ func (h *stubHook) OnCarrierIdle(sim.Time)                           {}
 type fixture struct {
 	sched *sim.Scheduler
 	med   *medium.Medium
+	*exchangeLog
+}
+
+// exchangeLog reads every watched node's finished exchanges off its
+// CatMACState records. The state change that ends an exchange is
+// emitted after the node's success (drop) counter grows and before its
+// attempt count resets, so a record that finds a counter grown since
+// the node's previous record marks an acknowledged (dropped) packet at
+// the record's time, and its A field is the attempts that packet used.
+type exchangeLog struct {
+	bus   *obs.Bus
 	nodes map[frame.NodeID]*Node
-	succ  map[frame.NodeID][]sim.Time // OnSendSuccess times per node
-	att   map[frame.NodeID][]int      // attempts per success
+	last  map[frame.NodeID][2]uint64 // (success, drop) counters seen
+	succ  map[frame.NodeID][]sim.Time
+	att   map[frame.NodeID][]int // attempts per success
 	drops map[frame.NodeID]int
+}
+
+func newExchangeLog() *exchangeLog {
+	l := &exchangeLog{
+		bus:   &obs.Bus{},
+		nodes: make(map[frame.NodeID]*Node),
+		last:  make(map[frame.NodeID][2]uint64),
+		succ:  make(map[frame.NodeID][]sim.Time),
+		att:   make(map[frame.NodeID][]int),
+		drops: make(map[frame.NodeID]int),
+	}
+	l.bus.Subscribe(obs.CategorySet(0).Set(obs.CatMACState), l)
+	return l
+}
+
+// watch instruments n so that its exchanges are logged.
+func (l *exchangeLog) watch(n *Node) *Node {
+	n.Instrument(nil, l.bus)
+	l.nodes[n.id] = n
+	return n
+}
+
+// Emit implements obs.Sink.
+func (l *exchangeLog) Emit(r obs.Record) {
+	s, d, _ := l.nodes[r.Node].Counters()
+	last := l.last[r.Node]
+	if s > last[0] {
+		l.succ[r.Node] = append(l.succ[r.Node], r.Time)
+		l.att[r.Node] = append(l.att[r.Node], int(r.A))
+	}
+	if d > last[1] {
+		l.drops[r.Node]++
+	}
+	l.last[r.Node] = [2]uint64{s, d}
 }
 
 // recordFrames subscribes an uncapped frame timeline to med's channel
@@ -113,12 +159,9 @@ func newFixture() *fixture {
 	m := phys.DefaultShadowing()
 	m.SigmaDB = 0
 	return &fixture{
-		sched: &sched,
-		med:   medium.New(&sched, medium.Config{Model: m}, rng.New(1)),
-		nodes: make(map[frame.NodeID]*Node),
-		succ:  make(map[frame.NodeID][]sim.Time),
-		att:   make(map[frame.NodeID][]int),
-		drops: make(map[frame.NodeID]int),
+		sched:       &sched,
+		med:         medium.New(&sched, medium.Config{Model: m}, rng.New(1)),
+		exchangeLog: newExchangeLog(),
 	}
 }
 
@@ -129,16 +172,8 @@ func detTestRadio() phys.Radio {
 }
 
 func (fx *fixture) addNode(id frame.NodeID, pos phys.Point, policy BackoffPolicy, hook ReceiverHook) *Node {
-	cb := Callbacks{
-		OnSendSuccess: func(_ frame.NodeID, _ uint32, _, attempts int, _, now sim.Time) {
-			fx.succ[id] = append(fx.succ[id], now)
-			fx.att[id] = append(fx.att[id], attempts)
-		},
-		OnSendDrop: func(frame.NodeID, uint32, sim.Time) { fx.drops[id]++ },
-	}
-	n := NewNode(id, DefaultParams(), fx.sched, fx.med, policy, hook, cb)
+	n := fx.watch(NewNode(id, DefaultParams(), fx.sched, fx.med, policy, hook, Callbacks{}))
 	fx.med.Attach(id, pos, detTestRadio(), n)
-	fx.nodes[id] = n
 	return n
 }
 
@@ -582,23 +617,23 @@ func TestDeterministicReplay(t *testing.T) {
 		var sched sim.Scheduler
 		m := phys.DefaultShadowing()
 		med := medium.New(&sched, medium.Config{Model: m}, rng.New(5))
-		var times []sim.Time
+		log := newExchangeLog()
 		radio := phys.DefaultRadio()
 		recv := NewNode(9, DefaultParams(), &sched, med, NewStandardPolicy(rng.New(6)), nil, Callbacks{})
 		med.Attach(9, phys.Point{}, radio, recv)
 		for i := frame.NodeID(0); i < 4; i++ {
-			i := i
-			n := NewNode(i, DefaultParams(), &sched, med,
-				NewStandardPolicy(rng.New(uint64(10+i))), nil,
-				Callbacks{OnSendSuccess: func(_ frame.NodeID, _ uint32, _, _ int, _, now sim.Time) {
-					times = append(times, now)
-				}})
+			n := log.watch(NewNode(i, DefaultParams(), &sched, med,
+				NewStandardPolicy(rng.New(uint64(10+i))), nil, Callbacks{}))
 			med.Attach(i, phys.OnCircle(phys.Point{}, 150, int(i), 4), radio, n)
 			for k := 0; k < 40; k++ {
 				n.Enqueue(9, 512)
 			}
 		}
 		sched.Run(2 * sim.Second)
+		var times []sim.Time
+		for i := frame.NodeID(0); i < 4; i++ {
+			times = append(times, log.succ[i]...)
+		}
 		return times
 	}
 	a, b := run(), run()

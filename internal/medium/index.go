@@ -1,19 +1,15 @@
 // Channel model v2: per-pair counter RNG plus a spatial neighbor index.
 //
-// v1 couples every transmission to every attached node through the
-// shared sequential shadowing stream: even a pair the NormBound proof
-// rules out must consume its draw to keep the sequence aligned, making
-// Transmit Θ(n) per frame. v2 removes the coupling at the source — each
-// shadowing sample is a pure function of (base key, transmitter ID,
-// observer ID, transmitter frame index[, coherence segment]) via
-// rng.Mix64/rng.CounterNorm — so a skipped pair costs zero draws and no
+// Each shadowing sample is a pure function of (base key, transmitter
+// ID, observer ID, transmitter frame index[, coherence segment]) via
+// rng.Mix64/rng.CounterNorm, so a skipped pair costs zero draws and no
 // sample depends on iteration order. On top of that, a uniform grid
 // over attached positions bounds each transmitter's interaction radius
 // (the largest distance where mean + rng.NormBound·σ can still clear
 // the lowest carrier-sense/receive threshold in the network) and
 // precomputes per-transmitter neighbor lists, so Transmit iterates only
 // O(reachable) observers. Lists are rebuilt lazily at the first
-// Transmit after the last Attach, mirroring the v1 cache discipline.
+// Transmit after the last Attach.
 package medium
 
 import (
@@ -46,9 +42,7 @@ func (m *Medium) pairKeyFor(tx, obs frame.NodeID) uint64 {
 
 // buildIndex rebuilds the v2 neighbor lists. A pair is feasible when
 // mean + rng.NormBound·σ — an upper bound no counter draw can beat —
-// reaches the observer's carrier-sense or receive threshold; the same
-// proof as v1's outOfRange, but applied to prune enumeration rather
-// than just allocation. Radii use the network-wide lowest threshold, a
+// reaches the observer's carrier-sense or receive threshold. Radii use the network-wide lowest threshold, a
 // safe over-approximation under heterogeneous radios; the per-pair
 // filter is exact.
 //
@@ -75,7 +69,6 @@ func (m *Medium) buildIndex() {
 	pts := make([]phys.Point, len(m.nodes))
 	maxReach := 0.0
 	for i, nd := range m.nodes {
-		nd.idx = i
 		pts[i] = nd.pos
 		reach, ok := reachByPower[nd.radio.TxPowerDBm]
 		if !ok {
@@ -90,8 +83,8 @@ func (m *Medium) buildIndex() {
 
 	// Candidate observers per transmitter, as m.nodes indices in
 	// ascending order — ascending ID — so same-instant events enqueue
-	// in the same order as v1 (results are order-independent, goldens
-	// are not). cand[ends[i-1]:ends[i]] belongs to m.nodes[i].
+	// in a fixed order (results are order-independent, goldens are
+	// not). cand[ends[i-1]:ends[i]] belongs to m.nodes[i].
 	var cand []int32
 	ends := make([]int, len(m.nodes))
 	if m.bruteForce {
@@ -212,11 +205,11 @@ func (m *Medium) fanOutV2(tx *node, f frame.Frame, now, end sim.Time) {
 	}
 }
 
-// arriveAtV2Coherent mirrors the v1 coherence path in arriveAt — the
-// first interval reuses the frame-level draw, later intervals re-draw
-// the sensing decision, and adjacent sensed intervals merge into
-// maximal busy runs — with segment draws taken from the frame's counter
-// stream instead of the shared sequential source.
+// arriveAtV2Coherent is the coherence path: the first interval reuses
+// the frame-level draw (so decodable ⇒ initially sensed), later
+// intervals re-draw the sensing decision from the frame's counter
+// stream, and adjacent sensed intervals merge into maximal busy runs
+// (so segment boundaries do not produce zero-length idle blips).
 func (m *Medium) arriveAtV2Coherent(nb *neighbor, f frame.Frame, power float64, frameKey uint64, start, end sim.Time) {
 	obs := nb.obs
 	if power >= obs.radio.RxThreshDBm {

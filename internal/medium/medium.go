@@ -19,23 +19,15 @@
 //     Sub-receive-threshold energy never corrupts a frame, as in
 //     classic ns-2.
 //
-// Hot-path design: the deterministic part of every link budget — the
-// mean received power MeanRxPowerDBm(txPower, distance) — depends only
-// on the attached topology, so it is precomputed once into a dense
-// matrix the first time Transmit runs after the last Attach. The
-// per-frame work is then one Gaussian draw plus an add-multiply per
-// observer. Pairs whose mean plus the hard draw bound (rng.NormBound·σ)
-// still falls below both the carrier-sense and receive thresholds can
-// never be sensed nor decoded by any realisable draw; for those the
-// draw is still consumed (the RNG sequence is part of the reproducible
-// result) but all allocation and event scheduling is skipped. Arrival
-// records and scheduler events are pooled, so a steady-state run
-// allocates nothing per frame.
-//
-// Channel model v2 (Config.Channel == ChannelV2, see index.go) goes
-// further: counter-based per-pair RNG means skipped pairs cost zero
-// draws, and a spatial grid index reduces Transmit from Θ(n) to
-// O(reachable) — the large-topology (200–1000 node) configuration.
+// Hot-path design (see index.go): every shadowing draw is a pure
+// function of the (transmitter, observer, frame) triple via a counter
+// RNG, so pairs whose mean plus the hard draw bound (rng.NormBound·σ)
+// still falls below both thresholds cost nothing at all, and a spatial
+// grid index, rebuilt lazily at the first Transmit after the last
+// Attach, reduces Transmit to O(reachable) observers. Arrival records
+// and scheduler events are pooled, so a steady-state run allocates
+// nothing per frame. Channel model v3 (see v3.go) adds a propagation
+// delay and keyed event ordering for sharded runs.
 package medium
 
 import (
@@ -85,22 +77,18 @@ type FrameFaults interface {
 	Drop(tx, rx frame.NodeID) bool
 }
 
-// ChannelModel selects how shadowing draws are generated and how the
-// per-transmission observer set is enumerated.
+// ChannelModel selects whether frames propagate instantly (v2, the
+// zero value) or with a delay and keyed event ordering (v3).
 type ChannelModel int
 
 const (
-	// ChannelV1 is the original model: one shared sequential RNG
-	// stream, every attached node consuming a draw per transmission in
-	// ascending ID order. Bit-identical to the seed implementation and
-	// pinned by the v1 determinism goldens.
-	ChannelV1 ChannelModel = iota
 	// ChannelV2 derives every shadowing draw from a per-(transmitter,
 	// observer, frame) counter RNG and iterates only the transmitter's
 	// feasible neighbors from a spatial grid index, making Transmit
 	// O(reachable) instead of O(n). Results are independent of
-	// iteration order and carry their own determinism goldens.
-	ChannelV2
+	// iteration order and carry their own determinism goldens. It is
+	// the zero value.
+	ChannelV2 ChannelModel = iota
 	// ChannelV3 is v2 plus a uniform per-link propagation delay
 	// (V3PropDelay) and keyed event ordering — the model whose results
 	// are independent of how nodes are partitioned across scheduler
@@ -112,8 +100,6 @@ const (
 // String returns the model name as used by the macsim -channel flag.
 func (c ChannelModel) String() string {
 	switch c {
-	case ChannelV1:
-		return "v1"
 	case ChannelV2:
 		return "v2"
 	case ChannelV3:
@@ -132,7 +118,7 @@ type Config struct {
 	// frame, modelling channel variation at sub-frame granularity.
 	// Zero draws once per (frame, observer).
 	CoherenceInterval sim.Time
-	// Channel selects the channel model; the zero value is ChannelV1.
+	// Channel selects the channel model; the zero value is ChannelV2.
 	Channel ChannelModel
 	// FrameFaults, when non-nil, is the fault-injection hook applied to
 	// frames the collision model would have delivered. Nil (the
@@ -145,7 +131,6 @@ type Config struct {
 type Medium struct {
 	sched *sim.Scheduler
 	cfg   Config
-	src   *rng.Source
 
 	nodes []*node // ascending NodeID (binary-inserted on Attach)
 	byID  map[frame.NodeID]*node
@@ -155,13 +140,9 @@ type Medium struct {
 	// beyond denseLimit fall back to byID.
 	dense []*node
 
-	// Propagation cache, rebuilt lazily at the first Transmit after the
-	// last Attach. meanDBm[tx.idx*len(nodes)+obs.idx] is the
-	// deterministic mean RX power for the pair; outOfRange is true when
-	// no realisable shadowing draw can reach either threshold.
+	// cacheDirty marks the neighbor index stale: it is rebuilt lazily
+	// at the first Transmit after the last Attach.
 	cacheDirty bool
-	meanDBm    []float64
-	outOfRange []bool
 
 	// freeArrivals pools arrival records (recycled in complete).
 	// Sharded runs use the per-shard pools instead (see v3.go).
@@ -175,8 +156,8 @@ type Medium struct {
 	sharded bool
 	shards  []*mediumShard
 
-	// v2Base is the counter-RNG base key (channel model v2 only),
-	// derived once from the medium's stream at New.
+	// v2Base is the counter-RNG base key, derived once from the
+	// medium's stream at New.
 	v2Base uint64
 	// bruteForce (tests only) makes the v2 index enumerate every
 	// ordered pair with no feasibility pruning — the all-pairs
@@ -195,9 +176,7 @@ type Medium struct {
 
 type node struct {
 	id frame.NodeID
-	// idx is the position in Medium.nodes, fixed at cache build.
-	idx int
-	m   *Medium
+	m  *Medium
 	// sched is the scheduler this node's events run on: Medium.sched
 	// normally, the node's shard scheduler after ConfigureShards. All
 	// per-node scheduling and clock reads go through it.
@@ -212,10 +191,10 @@ type node struct {
 	txUntil   sim.Time // end of this node's latest own transmission
 	arrivals  []*arrival
 
-	// Channel model v2 state: the per-transmitter frame counter that
+	// Neighbor-index state: the per-transmitter frame counter that
 	// indexes counter-RNG draws, the maximum interaction radius as a
 	// transmitter, and the precomputed feasible-observer list
-	// (ascending ID), rebuilt lazily after Attach like the v1 cache.
+	// (ascending ID), rebuilt lazily after Attach.
 	txCount   uint64
 	reachM    float64
 	neighbors []neighbor
@@ -229,9 +208,8 @@ type arrival struct {
 	corrupted   bool
 	selfBlocked bool // overlapped one of the observer's own transmissions
 	// withBusyEnd folds the observer's carrier busy-end into the
-	// completion event (channel model v2 fast path only): decodable ⇒
-	// sensed, and both fall at the frame end, so one heap event serves
-	// both. v1 keeps its separate busyEnd event (golden-pinned order).
+	// completion event (v2 fast path): decodable ⇒ sensed, and both
+	// fall at the frame end, so one heap event serves both.
 	withBusyEnd bool
 }
 
@@ -261,17 +239,13 @@ func New(sched *sim.Scheduler, cfg Config, src *rng.Source) *Medium {
 	m := &Medium{
 		sched: sched,
 		cfg:   cfg,
-		src:   src,
 		byID:  make(map[frame.NodeID]*node),
 	}
 	switch cfg.Channel {
-	case ChannelV1:
 	case ChannelV2, ChannelV3:
-		// Derive the counter-RNG base key. This consumes one draw from
-		// the medium stream, but only on the v2/v3 paths — v1's sequence
-		// is untouched, keeping its goldens bit-identical. v3 reuses the
-		// v2 stream name: at equal seeds the two models share shadowing
-		// draws, differing only in delay and event keying.
+		// Derive the counter-RNG base key. v3 reuses the v2 stream
+		// name: at equal seeds the two models share shadowing draws,
+		// differing only in delay and event keying.
 		m.v2Base = src.Stream("channel-v2").Uint64()
 	default:
 		panic(fmt.Sprintf("medium: invalid channel model %d", int(cfg.Channel)))
@@ -287,10 +261,10 @@ func New(sched *sim.Scheduler, cfg Config, src *rng.Source) *Medium {
 
 // Attach registers a node on the channel. IDs must be unique; the node
 // list is kept in ascending ID order (binary insertion, not a re-sort),
-// which fixes the (deterministic) order of per-observer shadowing draws.
-// Attaching invalidates the propagation cache (v1) and the neighbor
-// index (v2); both rebuild lazily at the next Transmit, so interleaving
-// Attach and Transmit is safe but pays a rebuild per interleave.
+// which fixes the (deterministic) order in which observers are visited.
+// Attaching invalidates the neighbor index; it rebuilds lazily at the
+// next Transmit, so interleaving Attach and Transmit is safe but pays a
+// rebuild per interleave.
 func (m *Medium) Attach(id frame.NodeID, pos phys.Point, radio phys.Radio, l Listener) {
 	if _, dup := m.byID[id]; dup {
 		panic(fmt.Sprintf("medium: duplicate node id %d", id))
@@ -329,32 +303,6 @@ func (m *Medium) lookup(id frame.NodeID) *node {
 		}
 	}
 	return m.byID[id]
-}
-
-// buildCache precomputes the mean RX power and the out-of-range proof
-// for every ordered (transmitter, observer) pair. A pair is out of range
-// when mean + NormBound·σ — an upper bound no Box-Muller draw can beat —
-// stays below both the observer's carrier-sense and receive thresholds.
-func (m *Medium) buildCache() {
-	n := len(m.nodes)
-	m.meanDBm = make([]float64, n*n)
-	m.outOfRange = make([]bool, n*n)
-	sigma := m.cfg.Model.SigmaDB
-	for i, tx := range m.nodes {
-		tx.idx = i
-		for j, obs := range m.nodes {
-			if i == j {
-				continue
-			}
-			d := tx.pos.Distance(obs.pos)
-			mean := m.cfg.Model.MeanRxPowerDBm(tx.radio.TxPowerDBm, d)
-			bound := mean + rng.NormBound*sigma
-			k := i*n + j
-			m.meanDBm[k] = mean
-			m.outOfRange[k] = bound < obs.radio.CsThreshDBm && bound < obs.radio.RxThreshDBm
-		}
-	}
-	m.cacheDirty = false
 }
 
 // Stats returns cumulative channel counters: transmissions started,
@@ -401,11 +349,7 @@ func (m *Medium) Transmit(srcID frame.NodeID, f frame.Frame) sim.Time {
 		panic(fmt.Sprintf("medium: transmit from unattached node %d", srcID))
 	}
 	if m.cacheDirty {
-		if m.cfg.Channel != ChannelV1 {
-			m.buildIndex()
-		} else {
-			m.buildCache()
-		}
+		m.buildIndex()
 	}
 	now := tx.sched.Now()
 	if tx.txUntil > now {
@@ -443,34 +387,14 @@ func (m *Medium) Transmit(srcID frame.NodeID, f frame.Frame) sim.Time {
 	clearTail(tx.arrivals, len(live))
 	tx.arrivals = live
 
-	switch m.cfg.Channel {
-	case ChannelV3:
+	if m.cfg.Channel == ChannelV3 {
 		m.fanOutV3(tx, f, now, end)
-	case ChannelV2:
+	} else {
 		m.fanOutV2(tx, f, now, end)
-	default:
-		// Per-observer outcomes, in ascending ID order for determinism.
-		// The shadowing draw is consumed for every observer — the RNG
-		// sequence is part of the reproducible result — but pairs the
-		// cache proves out of range skip all further work.
-		nn := len(m.nodes)
-		base := tx.idx * nn
-		sigma := m.cfg.Model.SigmaDB
-		fast := m.cfg.CoherenceInterval <= 0
-		for _, obs := range m.nodes {
-			if obs == tx {
-				continue
-			}
-			draw := m.src.NormFloat64()
-			if fast && m.outOfRange[base+obs.idx] {
-				continue
-			}
-			m.arriveAt(tx, obs, f, m.meanDBm[base+obs.idx]+sigma*draw, now, end)
-		}
 	}
 
 	// Self busy-end. Scheduled after arrivals so that, at instant
-	// `end`, deliveries (scheduled inside arriveAt) precede carrier
+	// `end`, deliveries (scheduled by the fan-out) precede carrier
 	// transitions only per-observer; the transmitter has no delivery.
 	tx.sched.AtArg(end, busyEndEvent, tx)
 	return end
@@ -484,50 +408,9 @@ func clearTail(s []*arrival, i int) {
 	}
 }
 
-// arriveAt computes what observer obs experiences for the transmission,
-// given the already-drawn received power for this (frame, observer) pair.
-func (m *Medium) arriveAt(tx, obs *node, f frame.Frame, power float64, start, end sim.Time) {
-	if power >= obs.radio.RxThreshDBm {
-		m.admitArrival(obs, f, power, start, end)
-	}
-
-	// Sensing: decodable energy is always sensed (RxThresh ≥ CsThresh
-	// guarantees it for the same draw).
-	if m.cfg.CoherenceInterval <= 0 {
-		if power >= obs.radio.CsThreshDBm {
-			m.busyStart(obs, start)
-			m.sched.AtArg(end, busyEndEvent, obs)
-		}
-		return
-	}
-
-	// Coherence mode: re-draw sensing per interval and merge adjacent
-	// sensed intervals into maximal busy runs (so segment boundaries do
-	// not produce zero-length idle blips). The first interval reuses
-	// the frame-level draw so decodable ⇒ initially sensed.
-	mean := m.meanDBm[tx.idx*len(m.nodes)+obs.idx]
-	segPower := power
-	var runStart sim.Time
-	inRun := false
-	for segStart := start; segStart < end; segStart += m.cfg.CoherenceInterval {
-		sensed := segPower >= obs.radio.CsThreshDBm
-		if sensed && !inRun {
-			runStart, inRun = segStart, true
-		} else if !sensed && inRun {
-			m.scheduleBusyRun(obs, runStart, segStart, start)
-			inRun = false
-		}
-		segPower = mean + m.cfg.Model.SigmaDB*m.src.NormFloat64()
-	}
-	if inRun {
-		m.scheduleBusyRun(obs, runStart, end, start)
-	}
-}
-
 // admitArrival registers a decodable arrival at obs: it creates the
-// pooled record, resolves it, and schedules completion. Shared by the
-// v1 and v2 models; the returned record lets the v2 fast path set
-// withBusyEnd. v3 allocates from its shard pool and schedules with a
+// pooled record, resolves it, and schedules completion. The returned
+// record lets the v2 fast path set withBusyEnd. v3 allocates from its shard pool and schedules with a
 // keyed event, so it calls resolveArrival directly (see deliverV3).
 func (m *Medium) admitArrival(obs *node, f frame.Frame, power float64, start, end sim.Time) *arrival {
 	a := m.newArrival()

@@ -13,11 +13,7 @@ import (
 
 // v2Config returns a shadowed (σ = 1 dB) config on channel model v2.
 func v2Config(coherence sim.Time) Config {
-	return Config{
-		Model:             phys.DefaultShadowing(),
-		CoherenceInterval: coherence,
-		Channel:           ChannelV2,
-	}
+	return Config{Model: phys.DefaultShadowing(), CoherenceInterval: coherence}
 }
 
 // shadowedRadio builds the paper's calibrated radio for the shadowed
@@ -227,13 +223,11 @@ func attachInterleaveTrial(t *testing.T, channel ChannelModel) {
 }
 
 // TestAttachTransmitInterleave is the regression test for lazy rebuilds:
-// interleaving Attach and Transmit must refresh the propagation cache
-// (v1) and the neighbor index (v2) — covering late nodes as both
-// observers and transmitters — and duplicate IDs must panic as always.
+// interleaving Attach and Transmit must refresh the neighbor index —
+// covering late nodes as both observers and transmitters — and
+// duplicate IDs must panic as always.
 func TestAttachTransmitInterleave(t *testing.T) {
-	for _, ch := range []ChannelModel{ChannelV1, ChannelV2} {
-		t.Run(ch.String(), func(t *testing.T) { attachInterleaveTrial(t, ch) })
-	}
+	t.Run(ChannelV2.String(), func(t *testing.T) { attachInterleaveTrial(t, ChannelV2) })
 }
 
 // corridorMedium attaches n paper radios at uniform positions in the

@@ -2,7 +2,7 @@
 // per-link propagation delay and keyed event ordering — the model built
 // to be partitionable across scheduler shards.
 //
-// Why a new model instead of sharding v2: v1/v2 deliver with zero
+// Why a new model instead of sharding v2: v2 delivers with zero
 // propagation delay, so a transmission and its arrivals share one
 // instant, and their relative order is broken by scheduling-order
 // sequence numbers. Zero delay means zero lookahead — no conservative

@@ -477,6 +477,30 @@ func TestServeRestartResumes(t *testing.T) {
 	}
 }
 
+// TestServeRefusesRetiredChannel: a data dir written before channel
+// model v1 was retired holds a job whose spec asks for it. Recovery
+// cannot run that job, so the daemon refuses the directory at start,
+// with an error naming the job and the retirement, instead of dropping
+// or silently re-running the job on another channel.
+func TestServeRefusesRetiredChannel(t *testing.T) {
+	dir := t.TempDir()
+	js := testSpec("old-v1", 1, 2)
+	js.Scenario.Channel = "v1"
+	if err := (store{dir: dir}).writeSpec(js); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Options{DataDir: dir, Workers: 1})
+	if err == nil {
+		s.Shutdown()
+		t.Fatal("daemon recovered a job on the retired v1 channel")
+	}
+	for _, want := range []string{`"old-v1"`, "v1 was retired"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("recovery error %q does not contain %q", err, want)
+		}
+	}
+}
+
 // TestServeHTTP drives the full HTTP surface end to end: health and
 // readiness, submission (including the 400/429/idempotent/conflict
 // paths with Retry-After), status polling, and artifact download.

@@ -10,8 +10,8 @@ import (
 
 // The overhead guard pins the observability layer's "disabled is free"
 // claim against the recorded baseline: with Scenario.Observe nil, the
-// nil-check no-ops on every hook must keep RunRandom40 within 2% of the
-// BENCH.json ns_per_op captured before the layer existed. It is gated
+// nil-check no-ops on every hook must keep RunRandom40V2 within 2% of
+// its BENCH.json ns_per_op. It is gated
 // behind DCFGUARD_OVERHEAD_GUARD=1 (run by `make obs`) because absolute
 // wall-time assertions are only meaningful on the machine that captured
 // the baseline — elsewhere the numbers compare different silicon.
@@ -54,12 +54,12 @@ func TestDisabledObservabilityOverhead(t *testing.T) {
 		t.Skipf("set %s=1 to run the wall-time overhead guard (make obs)", overheadGuardEnv)
 	}
 	bench := benchBaselines(t)
-	baseline, hostRef := bench["RunRandom40"].NsPerOp, bench[dcfguard.HostReference].EventsPerSec
+	baseline, hostRef := bench["RunRandom40V2"].NsPerOp, bench[dcfguard.HostReference].EventsPerSec
 	if baseline <= 0 {
-		t.Fatal("baseline: no RunRandom40 ns_per_op in BENCH.json")
+		t.Fatal("baseline: no RunRandom40V2 ns_per_op in BENCH.json")
 	}
 
-	s := dcfguard.BenchScenarioRandom40()
+	s := dcfguard.BenchScenarioRandom40V2()
 	if s.Observe != nil {
 		t.Fatal("bench scenario unexpectedly carries an Observe config")
 	}
@@ -85,11 +85,11 @@ func TestDisabledObservabilityOverhead(t *testing.T) {
 				best = d
 			}
 		}
-		t.Logf("batch %d: RunRandom40 min %v, baseline %v, limit %v",
+		t.Logf("batch %d: RunRandom40V2 min %v, baseline %v, limit %v",
 			batch+1, best, time.Duration(baseline), limit)
 	}
 	if best > limit {
-		t.Errorf("disabled-instrumentation RunRandom40 = %v exceeds %v (baseline %v + 2%%) — the obs hooks are not free when off",
+		t.Errorf("disabled-instrumentation RunRandom40V2 = %v exceeds %v (baseline %v + 2%%) — the obs hooks are not free when off",
 			best, limit, time.Duration(baseline))
 	}
 }
