@@ -230,8 +230,8 @@ func completeEvent(arg any, _ sim.Time) {
 	a.obs.m.complete(a.obs, a)
 }
 
-// New returns a medium driven by the given scheduler, using src for all
-// shadowing draws.
+// New returns a medium driven by the given scheduler, deriving the
+// counter-RNG base key of every shadowing draw from src.
 func New(sched *sim.Scheduler, cfg Config, src *rng.Source) *Medium {
 	if err := cfg.Model.Validate(); err != nil {
 		panic(fmt.Sprintf("medium: invalid model: %v", err))
