@@ -17,8 +17,8 @@
 // function of the run seed and are independent of the order in which
 // other links' frames complete. Churn schedules are precomputed at
 // setup from a dedicated sequential stream. Everything is off by
-// default, and a disabled Injector consumes no draws, so existing v1/v2
-// goldens are untouched.
+// default, and a disabled Injector consumes no draws, so the goldens of
+// fault-free runs are untouched.
 package faults
 
 import (
