@@ -155,7 +155,8 @@ serve:
 
 # Sharded-kernel gate, under the race detector (shard workers cross
 # goroutines by design): the keyed-ordering and window/barrier unit
-# tests, the v3 goldens, the shard-vs-serial golden pin, the shard-count
+# tests, the v3 medium's serial-vs-2-shard listener test, the v3
+# goldens, the shard-vs-serial golden pin, the shard-count
 # invariance quickcheck, the sharded watchdog test, and the shardmail
 # analyzer corpus.
 shards:

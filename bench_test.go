@@ -32,145 +32,19 @@ func benchScenario(b *testing.B, s Scenario) {
 	b.ReportMetric(s.Duration.Seconds(), "sim_s/op")
 }
 
-// BenchmarkFig4DiagnosisAccuracy regenerates Figure 4 (diagnosis
-// accuracy vs PM, ZERO-FLOW and TWO-FLOW).
-func BenchmarkFig4DiagnosisAccuracy(b *testing.B) {
+// BenchmarkFigures regenerates every table of the figure catalogue,
+// one sub-benchmark per entry, named by its `figures -fig` name
+// (BenchmarkFigures/4 is Figure 4, BenchmarkFigures/a1 ablation A1).
+func BenchmarkFigures(b *testing.B) {
 	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig4(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5Throughput regenerates Figure 5 (MSB/AVG throughput,
-// 802.11 vs CORRECT).
-func BenchmarkFig5Throughput(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig5(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6NoMisbehavior regenerates Figure 6 (and, sharing the
-// sweep, Figure 7's data) for honest networks of varying size.
-func BenchmarkFig6NoMisbehavior(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Fig6And7(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7Fairness regenerates Figure 7 via the shared sweep.
-func BenchmarkFig7Fairness(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig7(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig8Responsiveness regenerates Figure 8 (per-second
-// diagnosis series).
-func BenchmarkFig8Responsiveness(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig8(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9RandomTopology regenerates Figure 9 (random topologies).
-func BenchmarkFig9RandomTopology(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PMs = []int{80}
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig9(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationPenaltyFactor regenerates ablation A1.
-func BenchmarkAblationPenaltyFactor(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PMs = []int{80}
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationPenaltyFactor(cfg, []float64{1.0, 1.25}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationAlpha regenerates ablation A2.
-func BenchmarkAblationAlpha(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PMs = []int{50}
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationAlpha(cfg, []float64{0.7, 0.9}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationWindow regenerates ablation A3.
-func BenchmarkAblationWindow(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PMs = []int{50}
-	points := []WindowPoint{{W: 5, Thresh: 20}, {W: 10, Thresh: 40}}
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationWindow(cfg, points); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationAttemptVerification regenerates ablation A4.
-func BenchmarkAblationAttemptVerification(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PMs = []int{80}
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationAttemptVerification(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationReceiverMisbehavior regenerates ablation A5.
-func BenchmarkAblationReceiverMisbehavior(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationReceiverMisbehavior(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationAdaptiveThresh regenerates ablation A6.
-func BenchmarkAblationAdaptiveThresh(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PMs = []int{50}
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationAdaptiveThresh(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationBasicAccess regenerates ablation A7.
-func BenchmarkAblationBasicAccess(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PMs = []int{80}
-	for i := 0; i < b.N; i++ {
-		if _, err := AblationBasicAccess(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, f := range Figures {
+		b.Run(f.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := f.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -137,7 +137,6 @@ type cli struct {
 	obs                      obsFlags
 
 	submit, job, tenant string
-	follow              bool
 }
 
 // localOnlyFlags are read only by a local run; -submit refuses them
@@ -148,7 +147,7 @@ var (
 	localOnlyFlags = []string{"timeline", "pcap", "series", "per-node", "journal", "seedtimeout",
 		"metrics", "trace-events", "trace-out", "diag-csv", "explain", "explain-json", "progress", "debug-addr",
 		"cpuprofile", "memprofile", "trace"}
-	submitOnlyFlags = []string{"job", "tenant", "follow"}
+	submitOnlyFlags = []string{"job", "tenant"}
 	singleRunFlags  = []string{"timeline", "pcap", "per-node"}
 )
 
@@ -190,7 +189,6 @@ func parseCLI(args []string) (*cli, error) {
 	fs.StringVar(&c.submit, "submit", "", "submit this run to a dcfserved daemon at this base URL instead of running locally")
 	fs.StringVar(&c.job, "job", "", "with -submit: job name (default derived from the scenario name and -pm)")
 	fs.StringVar(&c.tenant, "tenant", "", "with -submit: tenant bucket for the daemon's fair scheduler")
-	fs.BoolVar(&c.follow, "follow", false, "with -submit: stream the job's progress live over SSE instead of polling status")
 	c.obs.register(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -497,11 +495,11 @@ func runAggregate(s dcfguard.Scenario, c *cli, o *obsRun) error {
 		}
 		if len(ok) > 0 {
 			fmt.Printf("partial results: %d of %d seeds completed\n", len(ok), len(cells))
-			printAggregate(dcfguard.AggregateResults(s.Name, ok), c.series, start)
+			printAggregate(experiment.AggregateResults(s.Name, ok), c.series, start)
 		}
 		return fmt.Errorf("%d of %d seeds failed", len(report.Failures), len(cells))
 	}
-	printAggregate(dcfguard.AggregateResults(s.Name, report.Results), c.series, start)
+	printAggregate(experiment.AggregateResults(s.Name, report.Results), c.series, start)
 	return nil
 }
 

@@ -118,13 +118,13 @@ func TestFlagsToScenario(t *testing.T) {
 		{name: "random one node", args: []string{"-random", "1"}, wantErr: "nodes 1 (want at least 2)"},
 		{name: "random negative mis", args: []string{"-random", "3", "-mis", "-1"}, wantErr: "mis -1 outside 0..3"},
 		{name: "random mis past nodes", args: []string{"-random", "2", "-mis", "5"}, wantErr: "mis 5 outside 0..2"},
-		{name: "follow without submit", args: []string{"-follow"}, wantErr: "-follow require -submit"},
+		{name: "follow retired", args: []string{"-submit", "http://127.0.0.1:1", "-follow"}, wantErr: "flag provided but not defined: -follow"},
 		{name: "job and tenant without submit", args: []string{"-tenant", "a", "-job", "b"}, wantErr: "-job, -tenant require -submit"},
 		{name: "submit rejects local-only flags", wantErr: "does not read -cpuprofile, -debug-addr, -diag-csv, -explain, -explain-json, -journal, -memprofile, -metrics, -pcap, -per-node, -progress, -seedtimeout, -series, -timeline, -trace, -trace-events, -trace-out",
 			args: []string{"-submit", "http://127.0.0.1:1", "-timeline", "3", "-pcap", "p", "-series", "-per-node", "-journal", "j",
 				"-seedtimeout", "1s", "-metrics", "m", "-trace-events", "all", "-trace-out", "t", "-diag-csv", "d", "-explain", "3",
 				"-explain-json", "e", "-progress", "-debug-addr", "localhost:0", "-cpuprofile", "c", "-memprofile", "m", "-trace", "x"}},
-		{name: "submit accepts scenario flags", args: []string{"-submit", "http://127.0.0.1:1", "-follow", "-job", "j", "-tenant", "t",
+		{name: "submit accepts scenario flags", args: []string{"-submit", "http://127.0.0.1:1", "-job", "j", "-tenant", "t",
 			"-random", "40", "-pm", "60", "-seeds", "3", "-csv", "out.csv", "-fer", "0.1", "-basic"}},
 	}
 	for _, tc := range cases {
@@ -226,7 +226,7 @@ func TestLocalCSVMatchesSubmit(t *testing.T) {
 		if _, err := runCaptured(t, append(args, "-csv", local)...); err != nil {
 			t.Fatalf("%v local: %v", flags, err)
 		}
-		if _, err := runCaptured(t, append(args, "-csv", remote, "-submit", ts.URL, "-follow")...); err != nil {
+		if _, err := runCaptured(t, append(args, "-csv", remote, "-submit", ts.URL)...); err != nil {
 			t.Fatalf("%v -submit: %v", flags, err)
 		}
 		a, _ := os.ReadFile(local)

@@ -2,10 +2,11 @@ package main
 
 // macsim -submit: the CLI as a thin client of dcfserved. The spec
 // scenarioSpec builds for a local run is wrapped in a job spec and
-// shipped to the daemon; the client then polls status (honoring 429
-// Retry-After on the way in), streams progress, and optionally
-// downloads results.csv — so a daemon-submitted sweep is
-// interchangeable with `macsim -seeds`, down to the CSV bytes.
+// shipped to the daemon (honoring 429 Retry-After on the way in); the
+// client then follows the job's SSE progress stream to its terminal
+// state, fetches the final status once, and optionally downloads
+// results.csv — so a daemon-submitted sweep is interchangeable with
+// `macsim -seeds`, down to the CSV bytes.
 
 import (
 	"bufio"
@@ -202,7 +203,7 @@ func getStatus(base, name string) (serve.JobStatus, error) {
 }
 
 // runSubmit is the client-mode main loop: submit (with 429 backoff),
-// poll to terminal, download, and translate the final state into the
+// follow to terminal, download, and translate the final state into the
 // process exit code.
 func runSubmit(c *cli, sp experiment.ScenarioSpec) error {
 	js := serve.JobSpec{Name: c.job, Tenant: c.tenant, Scenario: sp}
@@ -247,35 +248,14 @@ func runSubmit(c *cli, sp experiment.ScenarioSpec) error {
 	}
 	fmt.Printf("submitted %q (%d cells) to %s\n", status.Name, status.Cells.Total, base)
 
-	if c.follow {
-		// Event-driven: stream /jobs/{name}/events instead of polling.
-		// The stream ends at the job's terminal state; fetch the final
-		// status once for the artifact list and failure summary.
-		if err := followJob(base, status.Name); err != nil {
-			return err
-		}
-		if status, err = getStatus(base, status.Name); err != nil {
-			return err
-		}
-	} else {
-		lastDone := -1
-		for !terminalState(status.State) {
-			time.Sleep(time.Second) //detlint:allow wallclock -- status polling cadence for the human watching the job
-			if status, err = getStatus(base, status.Name); err != nil {
-				return err
-			}
-			if status.Cells.Done != lastDone {
-				lastDone = status.Cells.Done
-				line := fmt.Sprintf("%s: %d/%d cells", status.State, status.Cells.Done, status.Cells.Total)
-				if status.Cells.Resumed > 0 {
-					line += fmt.Sprintf(" (%d resumed)", status.Cells.Resumed)
-				}
-				if status.ETA != "" {
-					line += ", eta " + status.ETA
-				}
-				fmt.Fprintln(os.Stderr, line)
-			}
-		}
+	// The event stream always ends with the job's terminal state event;
+	// fetch the final status once for the artifact list and failure
+	// summary.
+	if err := followJob(base, status.Name); err != nil {
+		return err
+	}
+	if status, err = getStatus(base, status.Name); err != nil {
+		return err
 	}
 
 	if c.csvPath != "" && status.State != serve.StateDegraded {

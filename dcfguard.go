@@ -36,9 +36,11 @@
 //	table, err := dcfguard.Fig4(dcfguard.DefaultConfig())
 //	fmt.Print(table.Render())
 //
-// Each figure generator lists all its (scenario, seed) runs before it
-// starts any, then runs them together on one GOMAXPROCS worker pool, so
-// a figure keeps every CPU busy until its last run.
+// Figures catalogues every table generator (Figures 4-9, the
+// ablations, the extensions) with its arguments. Each generator lists
+// all its (scenario, seed) runs before it starts any, then runs them
+// together on one GOMAXPROCS worker pool, so a figure keeps every CPU
+// busy until its last run; Config.Sweep can journal them for resume.
 //
 // Runs are pure functions of (Scenario, seed): identical inputs yield
 // identical outputs on every platform.
@@ -79,8 +81,8 @@ type (
 	Protocol = experiment.Protocol
 	// Strategy selects the misbehavior model.
 	Strategy = experiment.Strategy
-	// WindowPoint is one (W, THRESH) diagnosis configuration.
-	WindowPoint = experiment.WindowPoint
+	// Figure is one figure-catalogue entry (see Figures).
+	Figure = experiment.Figure
 	// ChannelModel selects the medium's channel implementation.
 	ChannelModel = experiment.ChannelModel
 
@@ -94,7 +96,8 @@ type (
 	SeedFailure = experiment.SeedFailure
 	// SweepCell is one (scenario, seed) unit of a resumable sweep.
 	SweepCell = experiment.SweepCell
-	// SweepOptions configures RunSweep (journal dir, watchdog, workers).
+	// SweepOptions configures RunSweep (journal dir, watchdog, progress)
+	// and every figure generator's sweep (see Config.Sweep).
 	SweepOptions = experiment.SweepOptions
 	// SweepReport is RunSweep's outcome: results, failures, resume stats.
 	SweepReport = experiment.SweepReport
@@ -289,69 +292,9 @@ func ScaledRandomTopo(nodes, nMis int) func(uint64) *Topology {
 // Fig4 reproduces diagnosis accuracy vs PM (Figure 4).
 func Fig4(cfg Config) (*Table, error) { return experiment.Fig4(cfg) }
 
-// Fig5 reproduces throughput under misbehavior (Figure 5).
-func Fig5(cfg Config) (*Table, error) { return experiment.Fig5(cfg) }
-
-// Fig5WithDelay runs the Figure-5 sweep once and also returns the
-// per-packet delay extension table.
-func Fig5WithDelay(cfg Config) (*Table, *Table, error) { return experiment.Fig5WithDelay(cfg) }
-
-// Fig6 reproduces throughput without misbehavior (Figure 6).
-func Fig6(cfg Config) (*Table, error) { return experiment.Fig6(cfg) }
-
-// Fig7 reproduces the fairness comparison (Figure 7).
-func Fig7(cfg Config) (*Table, error) { return experiment.Fig7(cfg) }
-
-// Fig6And7 runs the shared no-misbehavior sweep once and returns both
-// the Figure-6 and Figure-7 tables.
-func Fig6And7(cfg Config) (*Table, *Table, error) { return experiment.Fig6And7(cfg) }
-
-// Fig8 reproduces diagnosis responsiveness over time (Figure 8).
-func Fig8(cfg Config) (*Table, error) { return experiment.Fig8(cfg) }
-
-// Fig9 reproduces the random-topology evaluation (Figure 9).
-func Fig9(cfg Config) (*Table, error) { return experiment.Fig9(cfg) }
-
-// AblationPenaltyFactor sweeps the correction penalty multiplier (A1).
-func AblationPenaltyFactor(cfg Config, factors []float64) (*Table, error) {
-	return experiment.AblationPenaltyFactor(cfg, factors)
-}
-
-// AblationAlpha sweeps the deviation tolerance α (A2).
-func AblationAlpha(cfg Config, alphas []float64) (*Table, error) {
-	return experiment.AblationAlpha(cfg, alphas)
-}
-
-// AblationWindow sweeps the diagnosis (W, THRESH) parameters (A3).
-func AblationWindow(cfg Config, points []WindowPoint) (*Table, error) {
-	return experiment.AblationWindow(cfg, points)
-}
-
-// AblationAttemptVerification evaluates §4.1's intentional drops (A4).
-func AblationAttemptVerification(cfg Config) (*Table, error) {
-	return experiment.AblationAttemptVerification(cfg)
-}
-
-// AblationReceiverMisbehavior evaluates §4.4's greedy receiver (A5).
-func AblationReceiverMisbehavior(cfg Config) (*Table, error) {
-	return experiment.AblationReceiverMisbehavior(cfg)
-}
-
-// AblationAdaptiveThresh evaluates the adaptive THRESH extension (A6).
-func AblationAdaptiveThresh(cfg Config) (*Table, error) {
-	return experiment.AblationAdaptiveThresh(cfg)
-}
-
-// AblationBasicAccess evaluates the scheme without RTS/CTS (A7).
-func AblationBasicAccess(cfg Config) (*Table, error) {
-	return experiment.AblationBasicAccess(cfg)
-}
-
-// ExtHiddenTerminal contrasts basic access and RTS/CTS under hidden
-// terminals (extension experiment).
-func ExtHiddenTerminal(cfg Config) (*Table, error) {
-	return experiment.ExtHiddenTerminal(cfg)
-}
+// Figures is the figure catalogue: every table generator of the
+// evaluation, with the arguments `figures -fig all` runs it at.
+var Figures = experiment.Figures
 
 // GEForMeanFER returns the classic Gilbert burst chain whose long-run
 // loss rate is fer, with Bad→Good recovery probability r (mean burst
@@ -373,15 +316,9 @@ func RunSweep(cells []SweepCell, opts SweepOptions) (SweepReport, error) {
 	return experiment.RunSweep(cells, opts)
 }
 
-// AggregateResults folds raw per-seed results (e.g. loaded from a sweep
-// journal) into the multi-seed Aggregate RunSeeds computes.
-func AggregateResults(name string, results []Result) Aggregate {
-	return experiment.AggregateResults(name, results)
-}
-
 // ExtFaultTolerance measures the false-diagnosis rate of correct senders
-// as the frame-error rate sweeps 0-30% (i.i.d. and bursty losses), run
-// as a resumable sweep; the report carries per-cell failures, if any.
-func ExtFaultTolerance(cfg Config, opts SweepOptions) (*Table, *SweepReport, error) {
-	return experiment.ExtFaultTolerance(cfg, opts)
+// as the frame-error rate sweeps 0-30% (i.i.d. and bursty losses); with
+// cfg.Sweep.JournalDir set, the sweep resumes from its journal.
+func ExtFaultTolerance(cfg Config) (*Table, error) {
+	return experiment.ExtFaultTolerance(cfg)
 }

@@ -43,28 +43,24 @@ func main() {
 	}
 	defer os.RemoveAll(journal)
 
-	table, report, err := dcfguard.ExtFaultTolerance(cfg, dcfguard.SweepOptions{
-		JournalDir: journal,
-	})
+	cfg.Sweep = dcfguard.SweepOptions{JournalDir: journal}
+	table, err := dcfguard.ExtFaultTolerance(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	for _, f := range report.Failures {
-		fmt.Print(f.Dump())
 	}
 	fmt.Println(table.Render())
 
 	// 2. The same sweep again, against the same journal: every cell is
 	// already checkpointed, so nothing runs — this is what recovering an
 	// interrupted overnight sweep looks like.
-	_, report2, err := dcfguard.ExtFaultTolerance(cfg, dcfguard.SweepOptions{
-		JournalDir: journal,
-	})
-	if err != nil {
+	progress := &dcfguard.SweepProgress{}
+	cfg.Sweep.Progress = progress
+	if _, err := dcfguard.ExtFaultTolerance(cfg); err != nil {
 		log.Fatal(err)
 	}
+	snap := progress.Snapshot()
 	fmt.Printf("rerun against the journal: %d cells resumed, %d executed\n\n",
-		report2.Resumed, report2.Ran)
+		snap.Resumed, snap.Ran)
 
 	// 3. Receiver churn under active misbehavior: the access point
 	// reboots every ~2 s (losing all per-sender state) while node 3

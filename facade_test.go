@@ -5,7 +5,9 @@ import (
 	"testing"
 )
 
-// minimal is the smallest config that still produces classifications.
+// minimal is the smallest config that still produces classifications:
+// one seed and one point per sweep, below the table goldens' two of
+// each.
 func minimal() Config {
 	cfg := QuickConfig()
 	cfg.Duration = 1 * Second
@@ -13,58 +15,36 @@ func minimal() Config {
 	cfg.PMs = []int{80}
 	cfg.NetworkSizes = []int{2}
 	cfg.Fig8PMs = []int{80}
+	cfg.FERs = []float64{0.2}
 	return cfg
 }
 
-// TestAllFigureWrappers exercises every figure and ablation façade at
-// minimal scale: each must produce a non-empty, renderable table.
+// TestAllFigureWrappers runs every entry of the façade's figure
+// catalogue at minimal scale: each must return one non-empty,
+// renderable table per file it names.
 func TestAllFigureWrappers(t *testing.T) {
 	cfg := minimal()
-	generators := map[string]func() (*Table, error){
-		"fig4": func() (*Table, error) { return Fig4(cfg) },
-		"fig5": func() (*Table, error) { return Fig5(cfg) },
-		"fig6": func() (*Table, error) { return Fig6(cfg) },
-		"fig7": func() (*Table, error) { return Fig7(cfg) },
-		"fig8": func() (*Table, error) { return Fig8(cfg) },
-		"fig9": func() (*Table, error) { return Fig9(cfg) },
-		"a1":   func() (*Table, error) { return AblationPenaltyFactor(cfg, []float64{1.25}) },
-		"a2":   func() (*Table, error) { return AblationAlpha(cfg, []float64{0.9}) },
-		"a3":   func() (*Table, error) { return AblationWindow(cfg, []WindowPoint{{W: 5, Thresh: 20}}) },
-		"a4":   func() (*Table, error) { return AblationAttemptVerification(cfg) },
-		"a5":   func() (*Table, error) { return AblationReceiverMisbehavior(cfg) },
-		"a6":   func() (*Table, error) { return AblationAdaptiveThresh(cfg) },
-		"a7":   func() (*Table, error) { return AblationBasicAccess(cfg) },
-	}
-	for name, gen := range generators {
-		name, gen := name, gen
-		t.Run(name, func(t *testing.T) {
-			tb, err := gen()
+	for _, f := range Figures {
+		t.Run(f.Name, func(t *testing.T) {
+			tables, err := f.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(tb.Rows) == 0 {
-				t.Fatal("empty table")
+			if len(tables) != len(f.Files) {
+				t.Fatalf("%d tables for files %v", len(tables), f.Files)
 			}
-			if out := tb.Render(); !strings.Contains(out, "|") {
-				t.Fatalf("render produced %q", out)
-			}
-			if csv := tb.CSV(); !strings.Contains(csv, ",") {
-				t.Fatalf("CSV produced %q", csv)
+			for i, tb := range tables {
+				if len(tb.Rows) == 0 {
+					t.Fatalf("%s: empty table", f.Files[i])
+				}
+				if out := tb.Render(); !strings.Contains(out, "|") {
+					t.Fatalf("%s: render produced %q", f.Files[i], out)
+				}
+				if csv := tb.CSV(); !strings.Contains(csv, ",") {
+					t.Fatalf("%s: CSV produced %q", f.Files[i], csv)
+				}
 			}
 		})
-	}
-}
-
-func TestFig5WithDelayWrapper(t *testing.T) {
-	t5, tD, err := Fig5WithDelay(minimal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(t5.Rows) == 0 || len(tD.Rows) == 0 {
-		t.Fatal("empty tables")
-	}
-	if !strings.Contains(tD.Title, "delay") {
-		t.Fatalf("delay title = %q", tD.Title)
 	}
 }
 

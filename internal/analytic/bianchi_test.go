@@ -1,13 +1,10 @@
 package analytic
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
-	"dcfguard/internal/experiment"
 	"dcfguard/internal/mac"
-	"dcfguard/internal/sim"
 )
 
 func model(n int) Model {
@@ -98,64 +95,6 @@ func TestAggregateThroughputDegradesGracefully(t *testing.T) {
 	if s64 < 0.6*s8 {
 		t.Fatalf("throughput collapsed too hard: %v vs %v", s64, s8)
 	}
-}
-
-// TestSimulatorMatchesAnalyticalModel is the validation test DESIGN.md
-// promises: the hand-rolled DCF simulator must track the Bianchi-style
-// model within a modest tolerance across network sizes.
-func TestSimulatorMatchesAnalyticalModel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation comparison skipped in -short mode")
-	}
-	for _, n := range []int{2, 4, 8, 16} {
-		m := model(n)
-		predicted := m.PerNodeKbps()
-
-		s := experiment.DefaultScenario()
-		s.Duration = 10 * sim.Second
-		s.Topo = experiment.StarTopo(n, false)
-		s.Protocol = experiment.Protocol80211
-		r, err := experiment.Run(s, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		measured := r.AvgHonestKbps
-
-		ratio := measured / predicted
-		if ratio < 0.85 || ratio > 1.15 {
-			t.Errorf("n=%d: simulated %.1f Kbps/node vs model %.1f (ratio %.3f), want within 15%%",
-				n, measured, predicted, ratio)
-		}
-	}
-}
-
-func TestValidateAgainstModelTable(t *testing.T) {
-	cfg := experiment.QuickConfig()
-	cfg.Duration = 3 * sim.Second
-	cfg.Seeds = experiment.Seeds(2)
-	cfg.NetworkSizes = []int{2, 8}
-	tb, err := ValidateAgainstModel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		ratio := mustFloat(t, row[3])
-		if ratio < 0.8 || ratio > 1.2 {
-			t.Fatalf("n=%s ratio %v outside sanity band", row[0], ratio)
-		}
-	}
-}
-
-func mustFloat(t *testing.T, s string) float64 {
-	t.Helper()
-	var v float64
-	if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-		t.Fatalf("cell %q: %v", s, err)
-	}
-	return v
 }
 
 func TestValidate(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // larger factors hold aggressive misbehavers closer to their fair share
 // at the cost of harsher treatment of borderline senders.
 func AblationPenaltyFactor(cfg Config, factors []float64) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, pm := range cfg.PMs {
 		for _, f := range factors {
 			s := cfg.base(fmt.Sprintf("a1-f%.2f-pm%d", f, pm), false, 3)
@@ -55,7 +55,7 @@ func AblationPenaltyFactor(cfg Config, factors []float64) (*Table, error) {
 // misbehavers elude the correction scheme; α = 1 flags every slot of
 // shortfall including measurement noise.
 func AblationAlpha(cfg Config, alphas []float64) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, pm := range cfg.PMs {
 		for _, a := range alphas {
 			s := cfg.base(fmt.Sprintf("a2-alpha%.1f-pm%d", a, pm), true, 3)
@@ -98,7 +98,7 @@ type WindowPoint struct {
 // AblationWindow sweeps the diagnosis parameters W and THRESH (§4.3):
 // the correct-diagnosis / misdiagnosis trade-off the paper discusses.
 func AblationWindow(cfg Config, points []WindowPoint) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, pm := range cfg.PMs {
 		for _, w := range points {
 			s := cfg.base(fmt.Sprintf("a3-w%d-t%.0f-pm%d", w.W, w.Thresh, pm), true, 3)
@@ -141,7 +141,7 @@ func AblationWindow(cfg Config, points []WindowPoint) (*Table, error) {
 // so it escapes penalties; with verification the intentional-drop check
 // proves misbehavior outright.
 func AblationAttemptVerification(cfg Config) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, verify := range []bool{false, true} {
 		for _, pm := range cfg.PMs {
 			if pm == 0 {
@@ -187,7 +187,7 @@ func AblationAttemptVerification(cfg Config) (*Table, error) {
 // expense. The sender-side G audit clamps the greedy assignments and
 // restores fairness.
 func AblationReceiverMisbehavior(cfg Config) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, greedyRecv := range []bool{false, true} {
 		for _, audit := range []bool{false, true} {
 			s := DefaultScenario()
@@ -248,7 +248,7 @@ func AblationReceiverMisbehavior(cfg Config) (*Table, error) {
 // ACK suppression. Detection quality and containment should track the
 // RTS/CTS numbers closely in a single-cell topology.
 func AblationBasicAccess(cfg Config) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, basic := range []bool{false, true} {
 		for _, pm := range cfg.PMs {
 			s := cfg.base(fmt.Sprintf("a7-basic%t-pm%d", basic, pm), false, 3)
@@ -290,7 +290,7 @@ func AblationBasicAccess(cfg Config) (*Table, error) {
 // channels, missed mild misbehavior in clean ones) should narrow on
 // both sides.
 func AblationAdaptiveThresh(cfg Config) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, twoFlow := range []bool{false, true} {
 		for _, pm := range cfg.PMs {
 			for _, adaptive := range []bool{false, true} {
@@ -332,7 +332,7 @@ func AblationAdaptiveThresh(cfg Config) (*Table, error) {
 // range) feed one receiver between them: without the handshake their
 // DATA frames collide wholesale; with it only the short RTSes do.
 func ExtHiddenTerminal(cfg Config) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, basic := range []bool{true, false} {
 		s := DefaultScenario()
 		s.Name = fmt.Sprintf("hidden-basic%t", basic)

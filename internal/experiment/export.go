@@ -12,7 +12,7 @@ import (
 // returns the raw per-run results in seed order: the escape hatch for
 // external analysis beyond the built-in aggregation.
 func RunAll(s Scenario, seeds []uint64) ([]Result, error) {
-	p := NewPlan(seeds)
+	p := NewPlan(Config{Seeds: seeds})
 	p.Add(s)
 	out, err := p.Run()
 	if err != nil {

@@ -12,14 +12,23 @@ import (
 // frames, long enough to swallow a whole RTS/CTS/DATA/ACK exchange.
 const faultBurstRecovery = 0.25
 
-// FaultToleranceCells enumerates the ExtFaultTolerance sweep as
-// journalable (scenario, seed) cells: an all-honest 8-sender CORRECT
-// star, FER swept over cfg.FERs, each rate run twice — i.i.d. losses and
-// a Gilbert burst chain with the same long-run rate. With no misbehaving
-// sender every diagnosis is a false one, so MisdiagnosisPct is exactly
-// the paper-scheme's false-accusation rate under channel error.
-func FaultToleranceCells(cfg Config) []SweepCell {
-	var cells []SweepCell
+func faultScenarioName(fer float64, burst bool) string {
+	kind := "iid"
+	if burst {
+		kind = "burst"
+	}
+	return fmt.Sprintf("fault-fer%g-%s", math.Round(fer*100), kind)
+}
+
+// ExtFaultTolerance quantifies the detection scheme's fragility to
+// imperfect channels: the false-diagnosis rate of *correct* senders as
+// the frame-error rate grows over cfg.FERs, for i.i.d. losses and for a
+// Gilbert burst chain with the same long-run rate. The network is an
+// all-honest 8-sender CORRECT star, so every diagnosis is a false one
+// and MisdiagnosisPct is exactly the scheme's false-accusation rate
+// under channel error.
+func ExtFaultTolerance(cfg Config) (*Table, error) {
+	p := NewPlan(cfg)
 	for _, fer := range cfg.FERs {
 		for _, burst := range []bool{false, true} {
 			s := cfg.base(faultScenarioName(fer, burst), false)
@@ -32,36 +41,13 @@ func FaultToleranceCells(cfg Config) []SweepCell {
 			} else {
 				s.Faults.FER = fer
 			}
-			for _, seed := range cfg.Seeds {
-				cells = append(cells, SweepCell{Scenario: s, Seed: seed})
-			}
+			p.Add(s)
 		}
 	}
-	return cells
-}
-
-func faultScenarioName(fer float64, burst bool) string {
-	kind := "iid"
-	if burst {
-		kind = "burst"
-	}
-	return fmt.Sprintf("fault-fer%g-%s", math.Round(fer*100), kind)
-}
-
-// ExtFaultTolerance quantifies the detection scheme's fragility to
-// imperfect channels: the false-diagnosis rate of *correct* senders as
-// the frame-error rate grows from 0 to 30 %, for i.i.d. and bursty
-// losses. It runs as a resumable sweep — pass SweepOptions with a
-// JournalDir to checkpoint cells, and a SeedTimeout to bound each run —
-// and keeps going past failed cells: the table is built from the cells
-// that completed, and the report carries the diagnostics for the rest.
-func ExtFaultTolerance(cfg Config, opts SweepOptions) (*Table, *SweepReport, error) {
-	cells := FaultToleranceCells(cfg)
-	rep, err := runSweep(cells, opts)
+	out, err := p.Run()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	report := &rep
 
 	t := &Table{
 		Title: "Extension: false diagnosis of correct senders vs frame-error rate",
@@ -74,23 +60,10 @@ func ExtFaultTolerance(cfg Config, opts SweepOptions) (*Table, *SweepReport, err
 			"every diagnosis is false here: no sender misbehaves",
 		},
 	}
-
-	// Group completed cells back into per-scenario result sets. Failed
-	// cells are skipped (their zero Results carry no scenario name).
-	byName := make(map[string][]Result, 2*len(cfg.FERs))
-	for _, r := range report.Results {
-		if r.Scenario != "" {
-			byName[r.Scenario] = append(byName[r.Scenario], r)
-		}
-	}
 	for _, fer := range cfg.FERs {
 		row := []string{fmt.Sprintf("%g", math.Round(fer*100))}
 		for _, burst := range []bool{false, true} {
-			results := byName[faultScenarioName(fer, burst)]
-			if len(results) == 0 {
-				row = append(row, "-", "-", "-")
-				continue
-			}
+			results := out.NextResults()
 			agg := AggregateResults(faultScenarioName(fer, burst), results)
 			var drops uint64
 			for _, r := range results {
@@ -103,5 +76,5 @@ func ExtFaultTolerance(cfg Config, opts SweepOptions) (*Table, *SweepReport, err
 		}
 		t.AddRow(row...)
 	}
-	return t, report, nil
+	return t, nil
 }

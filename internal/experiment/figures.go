@@ -35,6 +35,11 @@ type Config struct {
 	// Channel selects the channel model for every generated scenario;
 	// the zero value is ChannelV2.
 	Channel ChannelModel
+	// Sweep configures the sweep each generator's plan runs on (journal
+	// directory, per-seed watchdog, progress counters). It is left out
+	// of the JSON form, which ClaimJournal pins: where a sweep runs does
+	// not change what it computes.
+	Sweep SweepOptions `json:"-"`
 }
 
 // DefaultConfig reproduces the paper's settings.
@@ -74,7 +79,7 @@ func (c Config) base(name string, twoFlow bool, mis ...int) Scenario {
 // misdiagnosis %) versus PM for the ZERO-FLOW and TWO-FLOW scenarios,
 // with node 3 of 8 misbehaving under the CORRECT protocol.
 func Fig4(cfg Config) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, pm := range cfg.PMs {
 		for _, twoFlow := range []bool{false, true} {
 			s := cfg.base(fmt.Sprintf("fig4-%s-pm%d", flowName(twoFlow), pm), twoFlow, 3)
@@ -113,12 +118,14 @@ func Fig4(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Fig5WithDelay runs the Figure-5 sweep once and renders two tables:
-// the paper's throughput comparison, and this repo's extension table of
-// per-packet MAC delays over the same runs (lower delay being the other
-// selfish incentive §3.1 names).
+// Fig5WithDelay reproduces Figure 5, the throughput of the misbehaving
+// node (MSB) and the average well-behaved node (AVG) versus PM under
+// 802.11 and under the CORRECT scheme (ZERO-FLOW star, node 3
+// misbehaving), and renders a second table from the same runs: this
+// repo's extension of per-packet MAC delays (lower delay being the
+// other selfish incentive §3.1 names).
 func Fig5WithDelay(cfg Config) (*Table, *Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, pm := range cfg.PMs {
 		for _, proto := range []Protocol{Protocol80211, ProtocolCorrect} {
 			s := cfg.base(fmt.Sprintf("fig5-%s-pm%d", proto, pm), false, 3)
@@ -167,20 +174,12 @@ func Fig5WithDelay(cfg Config) (*Table, *Table, error) {
 	return t5, tD, nil
 }
 
-// Fig5 reproduces Figure 5: throughput of the misbehaving node (MSB)
-// and the average well-behaved node (AVG) versus PM, under 802.11 and
-// under the CORRECT scheme (ZERO-FLOW star, node 3 misbehaving).
-func Fig5(cfg Config) (*Table, error) {
-	t5, _, err := Fig5WithDelay(cfg)
-	return t5, err
-}
-
 // Fig6And7 runs the no-misbehavior network-size sweep once and renders
 // both Figure 6 (average per-node throughput) and Figure 7 (Jain's
 // fairness index) from it: 802.11 versus CORRECT under ZERO-FLOW and
 // TWO-FLOW, with N honest senders.
 func Fig6And7(cfg Config) (*Table, *Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, n := range cfg.NetworkSizes {
 		for _, twoFlow := range []bool{false, true} {
 			for _, proto := range []Protocol{Protocol80211, ProtocolCorrect} {
@@ -222,18 +221,6 @@ func Fig6And7(cfg Config) (*Table, *Table, error) {
 	return t6, t7, nil
 }
 
-// Fig6 reproduces Figure 6 alone (see Fig6And7).
-func Fig6(cfg Config) (*Table, error) {
-	t6, _, err := Fig6And7(cfg)
-	return t6, err
-}
-
-// Fig7 reproduces Figure 7 alone (see Fig6And7).
-func Fig7(cfg Config) (*Table, error) {
-	_, t7, err := Fig6And7(cfg)
-	return t7, err
-}
-
 // Fig8 reproduces Figure 8: correct-diagnosis percentage over time
 // (1-second bins) in the TWO-FLOW scenario for several PM levels.
 func Fig8(cfg Config) (*Table, error) {
@@ -245,7 +232,7 @@ func Fig8(cfg Config) (*Table, error) {
 		Title:   "Figure 8: Responsiveness of misbehavior diagnosis (two-flow)",
 		Columns: cols,
 	}
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, pm := range cfg.Fig8PMs {
 		s := cfg.base(fmt.Sprintf("fig8-pm%d", pm), true, 3)
 		s.Protocol = ProtocolCorrect
@@ -315,7 +302,7 @@ func ScaledRandomTopo(nodes, nMis int) func(uint64) *topo.Topology {
 // Fig9 reproduces Figure 9: protocol performance over random
 // topologies — (a) diagnosis accuracy and (b) throughput, versus PM.
 func Fig9(cfg Config) (*Table, error) {
-	p := NewPlan(cfg.Seeds)
+	p := NewPlan(cfg)
 	for _, pm := range cfg.PMs {
 		// (a) Diagnosis under CORRECT; (b) throughput under both protocols.
 		s := DefaultScenario()

@@ -59,7 +59,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	tb, err := Fig5(tiny())
+	tb, _, err := Fig5WithDelay(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}

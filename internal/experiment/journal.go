@@ -24,7 +24,8 @@ type SweepCell struct {
 }
 
 // SweepOptions configures RunSweep. The zero value runs everything
-// in-memory on GOMAXPROCS workers with no watchdog.
+// in-memory on GOMAXPROCS workers (at most one per cell) with no
+// watchdog.
 type SweepOptions struct {
 	// JournalDir, when non-empty, checkpoints every completed cell as an
 	// atomically written JSON file in this directory (created if
@@ -36,8 +37,6 @@ type SweepOptions struct {
 	// SeedTimeout, when positive, bounds each cell's wall time via
 	// RunGuarded's watchdog.
 	SeedTimeout time.Duration
-	// Workers caps the worker pool (0 means GOMAXPROCS).
-	Workers int
 	// Progress, when non-nil, receives live cell counters as the sweep
 	// advances (see SweepProgress); the macsim -progress ticker and the
 	// obs debug endpoint read it concurrently.
@@ -192,10 +191,7 @@ func RunSweep(cells []SweepCell, opts SweepOptions) (SweepReport, error) {
 	}
 
 	failures := make([]*SeedFailure, len(cells))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(cells) {
 		workers = len(cells)
 	}
@@ -248,11 +244,4 @@ func RunSweep(cells []SweepCell, opts SweepOptions) (SweepReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// AggregateResults folds raw per-seed results into the same multi-seed
-// Aggregate that RunSeeds computes: the bridge from journaled sweep
-// results back into the table/figure renderers.
-func AggregateResults(name string, results []Result) Aggregate {
-	return aggregate(name, results)
 }

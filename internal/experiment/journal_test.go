@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dcfguard/internal/atomicio"
 	"dcfguard/internal/sim"
@@ -83,7 +84,7 @@ func TestRunSweepKillResume(t *testing.T) {
 		return nil
 	}
 	defer func() { atomicio.TestHookBeforeRename = nil }()
-	_, err = RunSweep(cells[:3], SweepOptions{JournalDir: dir, Workers: 1})
+	_, err = RunSweep(cells[:3], SweepOptions{JournalDir: dir})
 	if !errors.Is(err, errKilled) {
 		t.Fatalf("killed sweep returned %v, want the kill error", err)
 	}
@@ -243,13 +244,23 @@ func TestResultJSONRoundTrip(t *testing.T) {
 // TestClaimJournalConfig: cmd/figures pins its Config minus Seeds. A
 // rerun that changes the duration or the channel over the same journal
 // is refused, since its fault-sweep cells carry the same names; the
-// same config with more seeds resumes the finished cells.
+// same config with more seeds resumes the finished cells. Config.Sweep
+// stays out of the pin, so where the sweep journals does not change it.
 func TestClaimJournalConfig(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "j")
 	claim := func(cfg Config) error {
 		pin := cfg
 		pin.Seeds = nil
 		return ClaimJournal(dir, pin)
+	}
+	// faults runs the sweep over the journal and returns its counters.
+	faults := func(cfg Config) SweepSnapshot {
+		t.Helper()
+		cfg.Sweep = SweepOptions{JournalDir: dir, Progress: &SweepProgress{}}
+		if _, err := ExtFaultTolerance(cfg); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Sweep.Progress.Snapshot()
 	}
 	cfg := QuickConfig()
 	cfg.Duration = sim.Second
@@ -258,12 +269,8 @@ func TestClaimJournalConfig(t *testing.T) {
 	if err := claim(cfg); err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := ExtFaultTolerance(cfg, SweepOptions{JournalDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Ran != 2 {
-		t.Fatalf("first sweep ran %d cells, want 2", rep.Ran)
+	if got := faults(cfg); got.Ran != 2 {
+		t.Fatalf("first sweep ran %d cells, want 2", got.Ran)
 	}
 
 	longer, v3 := cfg, cfg
@@ -277,13 +284,11 @@ func TestClaimJournalConfig(t *testing.T) {
 
 	more := cfg
 	more.Seeds = Seeds(2)
+	more.Sweep = SweepOptions{JournalDir: "elsewhere", SeedTimeout: time.Minute}
 	if err := claim(more); err != nil {
 		t.Fatalf("more seeds: %v", err)
 	}
-	if _, rep, err = ExtFaultTolerance(more, SweepOptions{JournalDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Resumed != 2 || rep.Ran != 2 {
-		t.Fatalf("more seeds: resumed %d, ran %d; want 2 and 2", rep.Resumed, rep.Ran)
+	if got := faults(more); got.Resumed != 2 || got.Ran != 2 {
+		t.Fatalf("more seeds: resumed %d, ran %d; want 2 and 2", got.Resumed, got.Ran)
 	}
 }

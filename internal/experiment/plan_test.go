@@ -13,18 +13,25 @@ import (
 	"dcfguard/internal/topo"
 )
 
-// TestGeneratorsPlanOneSweep: every generator lists all its cells up
-// front and runs them as one sweep, every cell carries the config's
-// channel and duration, and no two cells share a (name, seed) key. The
-// config asks for channel v3, which no scenario gets by default, so a
-// generator that builds from DefaultScenario and forgets cfg.Channel
-// shows here. The sweep is faked, so nothing is simulated.
+// TestGeneratorsPlanOneSweep: every catalogue entry lists all its cells
+// up front and runs them as one sweep on the config's sweep options,
+// every cell carries the config's channel and duration, and no two
+// cells of the whole catalogue share a (name, seed) key, so one journal
+// directory serves `figures -fig all`. The config asks for channel v3,
+// which no scenario gets by default, so a generator that builds from
+// DefaultScenario and forgets cfg.Channel shows here. The sweep is
+// faked, so nothing is simulated.
 func TestGeneratorsPlanOneSweep(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Channel = experiment.ChannelV3
-	for _, g := range generators {
+	cfg.Sweep = experiment.SweepOptions{JournalDir: "journal", SeedTimeout: time.Minute, Progress: &experiment.SweepProgress{}}
+	keys := make(map[string]string)
+	for _, f := range experiment.Figures {
 		var sweeps [][]experiment.SweepCell
-		restore := experiment.SwapSweep(func(cells []experiment.SweepCell, _ experiment.SweepOptions) (experiment.SweepReport, error) {
+		restore := experiment.SwapSweep(func(cells []experiment.SweepCell, opts experiment.SweepOptions) (experiment.SweepReport, error) {
+			if opts != cfg.Sweep {
+				t.Errorf("%s: sweep options %+v, config asks %+v", f.Name, opts, cfg.Sweep)
+			}
 			sweeps = append(sweeps, cells)
 			rep := experiment.SweepReport{Results: make([]experiment.Result, len(cells))}
 			for i, c := range cells {
@@ -32,33 +39,70 @@ func TestGeneratorsPlanOneSweep(t *testing.T) {
 			}
 			return rep, nil
 		})
-		_, err := g.run(cfg)
+		_, err := f.Run(cfg)
 		restore()
 		if err != nil {
-			t.Fatalf("%s: %v", g.name, err)
+			t.Fatalf("%s: %v", f.Name, err)
 		}
 		if len(sweeps) != 1 {
-			t.Errorf("%s ran %d sweeps, want 1", g.name, len(sweeps))
+			t.Errorf("%s ran %d sweeps, want 1", f.Name, len(sweeps))
 			continue
 		}
-		keys := make(map[string]bool)
 		for _, c := range sweeps[0] {
 			s := c.Scenario
 			if s.Channel != cfg.Channel {
-				t.Errorf("%s: cell %s seed %d runs channel %v, config asks %v", g.name, s.Name, c.Seed, s.Channel, cfg.Channel)
+				t.Errorf("%s: cell %s seed %d runs channel %v, config asks %v", f.Name, s.Name, c.Seed, s.Channel, cfg.Channel)
 			}
 			if s.Duration != cfg.Duration {
-				t.Errorf("%s: cell %s seed %d runs %v, config asks %v", g.name, s.Name, c.Seed, s.Duration, cfg.Duration)
+				t.Errorf("%s: cell %s seed %d runs %v, config asks %v", f.Name, s.Name, c.Seed, s.Duration, cfg.Duration)
 			}
 			key := experiment.CellFileName(s.Name, c.Seed)
-			if keys[key] {
-				t.Errorf("%s: cell key %s planned twice", g.name, key)
+			if owner, dup := keys[key]; dup {
+				t.Errorf("%s: cell key %s already planned by %s", f.Name, key, owner)
 			}
-			keys[key] = true
+			keys[key] = f.Name
 		}
-		if len(keys)%len(cfg.Seeds) != 0 || len(keys) < 2*len(cfg.Seeds) {
+		if n := len(sweeps[0]); n%len(cfg.Seeds) != 0 || n < 2*len(cfg.Seeds) {
 			t.Errorf("%s planned %d cells, want every point at each of %d seeds and more than one point",
-				g.name, len(keys), len(cfg.Seeds))
+				f.Name, n, len(cfg.Seeds))
+		}
+	}
+}
+
+// TestSelectFigures: every -fig spelling the docs use resolves to its
+// catalogue entry, comma lists keep their order and list a figure once,
+// and all, none and unknown names behave.
+func TestSelectFigures(t *testing.T) {
+	names := func(figs []experiment.Figure) string {
+		var out []string
+		for _, f := range figs {
+			out = append(out, f.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	for spec, want := range map[string]string{
+		"4": "4", "5": "5", "delay": "5", "5+delay": "5", "6": "6", "7": "6", "6+7": "6",
+		"8": "8", "9": "9", "a1": "a1", "a7": "a7", "hidden": "hidden", "faults": "faults",
+		"validate": "validate", "none": "",
+		"9,4":          "9,4",
+		"6,7,delay,5":  "6,5",
+		"4,faults,a3":  "4,faults,a3",
+		"all":          names(experiment.Figures),
+		"a2,a4,a5,a6":  "a2,a4,a5,a6",
+		"hidden,6+7,8": "hidden,6,8",
+	} {
+		figs, err := experiment.SelectFigures(spec)
+		if err != nil {
+			t.Errorf("%q: %v", spec, err)
+			continue
+		}
+		if got := names(figs); got != want {
+			t.Errorf("%q selects %q, want %q", spec, got, want)
+		}
+	}
+	for _, spec := range []string{"10", "4,", "fig4", ""} {
+		if _, err := experiment.SelectFigures(spec); err == nil {
+			t.Errorf("%q accepted", spec)
 		}
 	}
 }

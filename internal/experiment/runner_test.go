@@ -338,7 +338,7 @@ func TestAggregateSeriesPooling(t *testing.T) {
 		{Series: []SeriesPoint{{Start: 0, CorrectPct: 100, Packets: 30}}},
 		{Series: []SeriesPoint{{Start: 0, CorrectPct: 0, Packets: 10}}},
 	}
-	agg := aggregate("x", results)
+	agg := AggregateResults("x", results)
 	if len(agg.Series) != 1 {
 		t.Fatalf("series bins = %d", len(agg.Series))
 	}
@@ -359,7 +359,7 @@ func TestAggregateUnevenSeriesLengths(t *testing.T) {
 			{Start: sim.Second, CorrectPct: 100, Packets: 4},
 		}},
 	}
-	agg := aggregate("x", results)
+	agg := AggregateResults("x", results)
 	if len(agg.Series) != 2 {
 		t.Fatalf("series bins = %d, want 2 (longest run wins)", len(agg.Series))
 	}

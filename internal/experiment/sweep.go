@@ -50,7 +50,7 @@ func RunSeeds(s Scenario, seeds []uint64) (Aggregate, error) {
 	if err != nil {
 		return Aggregate{}, err
 	}
-	return aggregate(s.Name, results), nil
+	return AggregateResults(s.Name, results), nil
 }
 
 // Plan is one figure's whole run list, built before anything runs:
@@ -60,23 +60,25 @@ func RunSeeds(s Scenario, seeds []uint64) (Aggregate, error) {
 // waiting at each point for its slowest seed.
 type Plan struct {
 	seeds  []uint64
+	sweep  SweepOptions
 	points []Scenario
 }
 
-// NewPlan starts an empty plan whose points all run at seeds.
-func NewPlan(seeds []uint64) *Plan { return &Plan{seeds: seeds} }
+// NewPlan starts an empty plan whose points all run at cfg.Seeds, on a
+// sweep configured by cfg.Sweep.
+func NewPlan(cfg Config) *Plan { return &Plan{seeds: cfg.Seeds, sweep: cfg.Sweep} }
 
 // Add appends a point. Point names key the sweep's cells, so every
 // point of a plan needs its own.
 func (p *Plan) Add(s Scenario) { p.points = append(p.points, s) }
 
-// runSweep is the pool every plan and ExtFaultTolerance runs on; tests
-// swap it to inspect the cells a generator plans or to break one.
+// runSweep is the pool every plan runs on; tests swap it to inspect the cells a generator plans or to break one.
 var runSweep = RunSweep
 
 // Run executes every (point, seed) cell once and returns the points'
 // results. A failed cell fails the plan with its *SeedFailure, the
-// first in plan order. Each run is a pure function of (scenario, seed),
+// first in plan order. With a journal directory in the plan's sweep
+// options, cells already journaled there are loaded, not rerun. Each run is a pure function of (scenario, seed),
 // so the results match one serial run per cell.
 //
 // RunSweep rejects repeated (name, seed) keys, so a seed listed twice
@@ -110,7 +112,7 @@ func (p *Plan) Run() (*Outcome, error) {
 		for n, r := range round {
 			cells[n] = SweepCell{Scenario: p.points[r.point], Seed: p.seeds[r.seed]}
 		}
-		rep, err := runSweep(cells, SweepOptions{})
+		rep, err := runSweep(cells, p.sweep)
 		if err != nil {
 			return nil, err
 		}
@@ -141,10 +143,14 @@ func (o *Outcome) NextResults() []Result {
 // Next aggregates the next point's results.
 func (o *Outcome) Next() Aggregate {
 	name := o.points[0].Name
-	return aggregate(name, o.NextResults())
+	return AggregateResults(name, o.NextResults())
 }
 
-func aggregate(name string, results []Result) Aggregate {
+// AggregateResults folds raw per-seed results, in the order given, into
+// one multi-seed Aggregate named name: what RunSeeds and every figure
+// point compute, and what sweep drivers (macsim -journal, the serve
+// daemon) apply to the results they load back.
+func AggregateResults(name string, results []Result) Aggregate {
 	agg := Aggregate{Scenario: name, Runs: len(results)}
 	var correct, misdiag, honest, mis, hDelay, mDelay, total, fair stats.Welford
 

@@ -1,24 +1,24 @@
-package analytic
+package experiment
 
 import (
 	"fmt"
 	"strconv"
 
-	"dcfguard/internal/experiment"
+	"dcfguard/internal/analytic"
 )
 
 // ValidateAgainstModel runs the honest saturated star at each network
 // size under plain 802.11 and tabulates simulated per-node throughput
-// against this package's analytical prediction. A healthy DCF substrate
-// keeps the ratio near 1 at every size.
-func ValidateAgainstModel(cfg experiment.Config) (*experiment.Table, error) {
-	p := experiment.NewPlan(cfg.Seeds)
+// against the analytic package's Bianchi-style prediction. A healthy
+// DCF substrate keeps the ratio near 1 at every size.
+func ValidateAgainstModel(cfg Config) (*Table, error) {
+	p := NewPlan(cfg)
 	for _, n := range cfg.NetworkSizes {
-		s := experiment.DefaultScenario()
+		s := DefaultScenario()
 		s.Name = fmt.Sprintf("validate-%d", n)
 		s.Duration = cfg.Duration
-		s.Topo = experiment.StarTopo(n, false)
-		s.Protocol = experiment.Protocol80211
+		s.Topo = StarTopo(n, false)
+		s.Protocol = Protocol80211
 		s.Channel = cfg.Channel
 		p.Add(s)
 	}
@@ -27,7 +27,7 @@ func ValidateAgainstModel(cfg experiment.Config) (*experiment.Table, error) {
 		return nil, err
 	}
 
-	t := &experiment.Table{
+	t := &Table{
 		Title: "Validation: simulated 802.11 saturation throughput vs Bianchi-style model (Kbps/node)",
 		Columns: []string{"senders", "model", "simulated", "ratio",
 			"model p(collision)"},
@@ -36,7 +36,7 @@ func ValidateAgainstModel(cfg experiment.Config) (*experiment.Table, error) {
 		},
 	}
 	for _, n := range cfg.NetworkSizes {
-		m := Model{N: n, MAC: experiment.DefaultScenario().MAC,
+		m := analytic.Model{N: n, MAC: DefaultScenario().MAC,
 			PayloadBytes: 512, BitRate: 2_000_000}
 		predicted := m.PerNodeKbps()
 		measured := out.Next().AvgHonestKbps.Mean

@@ -10,7 +10,7 @@
 #   3. restart daemon B over the same data directory, wait for done;
 #   4. assert B's artifacts are byte-for-byte identical to A's and
 #      that at least one cell was resumed from the journal;
-#   5. smoke the macsim -submit -follow client (SSE stream) against the
+#   5. smoke the macsim -submit client (SSE stream) against the
 #      survivor and scrape /metrics (Prometheus text; exported to
 #      $SERVE_SMOKE_METRICS_OUT when set, for the CI artifact).
 #
@@ -123,12 +123,12 @@ for f in aggregate.json results.csv results.json; do
 		die "artifact $f differs after kill -9 + restart"
 done
 
-say "macsim -submit -follow client smoke (SSE stream)"
+say "macsim -submit client smoke (SSE stream)"
 "$tmp/macsim" -submit "$base" -job client-smoke -random 40 -mis 5 -pm 80 \
-	-duration 2s -csv "$tmp/client.csv" -follow >/dev/null 2>"$tmp/follow.log"
+	-duration 2s -csv "$tmp/client.csv" >/dev/null 2>"$tmp/follow.log"
 [ -s "$tmp/client.csv" ] || die "client downloaded an empty results.csv"
-grep -q '^state: done' "$tmp/follow.log" || die "-follow never streamed the terminal state event"
-grep -q '^cell ' "$tmp/follow.log" || die "-follow streamed no cell events"
+grep -q '^state: done' "$tmp/follow.log" || die "-submit never streamed the terminal state event"
+grep -q '^cell ' "$tmp/follow.log" || die "-submit streamed no cell events"
 
 say "scrape /metrics (Prometheus exposition)"
 curl -fsS "$base/metrics" >"$tmp/metrics.prom" || die "/metrics scrape failed"
