@@ -1,6 +1,7 @@
 package dcfguard
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,30 +22,60 @@ func minimal() Config {
 
 // TestAllFigureWrappers runs every entry of the façade's figure
 // catalogue at minimal scale: each must return one non-empty,
-// renderable table per file it names.
+// renderable table per file it names. A one-table entry is checked
+// under its -fig name; an entry that returns several tables (Figure 5
+// with the delay table, Figures 6 and 7) gets one subtest per table,
+// named by its file, so each figure reports on its own.
 func TestAllFigureWrappers(t *testing.T) {
 	cfg := minimal()
 	for _, f := range Figures {
-		t.Run(f.Name, func(t *testing.T) {
-			tables, err := f.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+		tables, err := f.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if len(tables) != len(f.Files) {
+			t.Fatalf("%s: %d tables for files %v", f.Name, len(tables), f.Files)
+		}
+		for i, tb := range tables {
+			name := f.Name
+			if len(tables) > 1 {
+				name = f.Files[i]
 			}
-			if len(tables) != len(f.Files) {
-				t.Fatalf("%d tables for files %v", len(tables), f.Files)
-			}
-			for i, tb := range tables {
+			t.Run(name, func(t *testing.T) {
 				if len(tb.Rows) == 0 {
-					t.Fatalf("%s: empty table", f.Files[i])
+					t.Fatal("empty table")
 				}
 				if out := tb.Render(); !strings.Contains(out, "|") {
-					t.Fatalf("%s: render produced %q", f.Files[i], out)
+					t.Fatalf("render produced %q", out)
 				}
 				if csv := tb.CSV(); !strings.Contains(csv, ",") {
-					t.Fatalf("%s: CSV produced %q", f.Files[i], csv)
+					t.Fatalf("CSV produced %q", csv)
 				}
-			}
-		})
+			})
+		}
+	}
+}
+
+// TestFig5WithDelayWrapper: catalogue entry 5 returns the Figure-5
+// table and, from the same sweep, the delay table.
+func TestFig5WithDelayWrapper(t *testing.T) {
+	i := slices.IndexFunc(Figures, func(f Figure) bool { return f.Name == "5" })
+	if i < 0 {
+		t.Fatal("no catalogue entry 5")
+	}
+	tables, err := Figures[i].Run(minimal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 2 {
+		t.Fatalf("%d tables, want Figure 5 and delay", len(tables))
+	}
+	t5, tD := tables[0], tables[1]
+	if len(t5.Rows) == 0 || len(tD.Rows) == 0 {
+		t.Fatal("empty tables")
+	}
+	if !strings.Contains(tD.Title, "delay") {
+		t.Fatalf("delay title = %q", tD.Title)
 	}
 }
 
