@@ -147,8 +147,10 @@ type Medium struct {
 	// freeArrivals pools arrival records (recycled in complete).
 	// Sharded runs use the per-shard pools instead (see v3.go).
 	freeArrivals []*arrival
-	// freeMsgs pools v3 arrival messages for serial (unsharded) v3 runs.
-	freeMsgs []*v3msg
+	// freeRuns pools v3 fan runs and runs is fanOutV3's one-slot
+	// scratch, for serial (unsharded) v3 runs (see v3.go).
+	freeRuns []*fanRun
+	runs     []*fanRun
 
 	// Sharded-run state (channel model v3 only, see v3.go): sharded is
 	// set by ConfigureShards, after which per-node scheduling goes
@@ -255,6 +257,9 @@ func New(sched *sim.Scheduler, cfg Config, src *rng.Source) *Medium {
 		// own keyed sub-events, and no paper experiment combines them
 		// with large topologies.
 		panic("medium: channel model v3 does not support a coherence interval")
+	}
+	if cfg.Channel == ChannelV3 {
+		m.runs = make([]*fanRun, 1)
 	}
 	return m
 }
@@ -410,8 +415,9 @@ func clearTail(s []*arrival, i int) {
 
 // admitArrival registers a decodable arrival at obs: it creates the
 // pooled record, resolves it, and schedules completion. The returned
-// record lets the v2 fast path set withBusyEnd. v3 allocates from its shard pool and schedules with a
-// keyed event, so it calls resolveArrival directly (see deliverV3).
+// record lets the v2 fast path set withBusyEnd. v3 allocates from its
+// shard pool and completes a whole fan run in one keyed event, so it
+// calls resolveArrival directly (see arriveRun).
 func (m *Medium) admitArrival(obs *node, f frame.Frame, power float64, start, end sim.Time) *arrival {
 	a := m.newArrival()
 	m.resolveArrival(obs, a, f, power, start, end)

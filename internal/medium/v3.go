@@ -23,21 +23,41 @@
 //     them both.
 //
 // δ = 10 µs (= SIFS, half a slot) is physically generous — 3 km at the
-// speed of light, versus the paper's ≤ 250 m ranges — but behaviorally
-// safe: every DCF response gap (SIFS, DIFS, backoff slots) is measured
+// speed of light, versus the paper's ≤ 250 m ranges — but safe for the
+// MAC: every DCF response gap (SIFS, DIFS, backoff slots) is measured
 // at the receiver from its local arrival instants, and the protocol's
 // timeout slack (2 slots around each expected response) absorbs the
 // extra 2δ round trip because δ < SlotTime. The experiment layer
-// asserts that inequality when deriving the lookahead.
+// asserts that inequality when deriving the lookahead. It is not safe
+// for the monitor: the receiver's idle-slot count gains up to one round
+// trip per idle interval, which biases v3 detection (DESIGN.md §11).
+//
+// Fan runs. Delivery does not schedule one event per (transmission,
+// observer): fanOutV3 gathers a transmission's sensed observers into one
+// fan run per observer shard, in ascending ID order. A run is two queue
+// entries, both keyed sim.FanKey(tx, frame, first observer): its arrival
+// at now+δ (carrier busy, and admission of each decodable arrival) and
+// its completion at end+δ (each decodable arrival completes, then the
+// carrier goes idle). Inside the run, sim.Scheduler.Substep hands the
+// firing key to each later observer, so owner counters, fan-in tags and
+// EventsFired are those of one event per observer. The batching is
+// exact — the (when, key) handler sequence is unchanged, call for call —
+// because at a run's instant no other event can carry a key inside the
+// run's range (tx, frame, ·): arrival and completion of one frame never
+// share an instant (airtime is positive), owner keys sort above every
+// fan key, and a handler's Transmit schedules only at ≥ now+δ. So no
+// event ever lies between two of a run's observers in (when, key)
+// order, and firing them back to back is the order one entry per
+// observer would have fired them in.
 //
 // Sharding (ConfigureShards) assigns each node to one scheduler shard.
-// Same-shard arrivals are scheduled directly; cross-shard arrivals are
-// buffered in per-(source, destination) outboxes and injected at the
-// window barrier by ExchangeShardMessages, which the coordinator calls
-// single-threadedly. Outboxes are slices drained in fixed (source,
-// destination, append) order — never map iteration — though the queue's
-// total (time, key) order makes results independent of injection order
-// anyway.
+// A run on the transmitter's shard is scheduled directly; runs for
+// other shards are buffered in per-(source, destination) outboxes and
+// injected at the window barrier by ExchangeShardMessages, which the
+// coordinator calls single-threadedly. Outboxes are slices drained in
+// fixed (source, destination, append) order — never map iteration —
+// though the queue's total (time, key) order makes results independent
+// of injection order anyway.
 package medium
 
 import (
@@ -61,16 +81,19 @@ const V3PropDelay = 10 * sim.Microsecond
 // never write shared medium fields.
 type mediumShard struct {
 	sched *sim.Scheduler
-	// freeArrivals/freeMsgs pool this shard's records. A record is
+	// freeArrivals/freeRuns pool this shard's records. A record is
 	// allocated by the goroutine that owns the pool's shard and released
 	// by the goroutine of the shard it was delivered on, so each pool is
 	// only ever touched by its own shard's goroutine.
 	freeArrivals []*arrival
-	freeMsgs     []*v3msg
-	// outbox[dst] buffers arrivals fanned out from this shard to nodes
-	// of shard dst within the current window; the coordinator drains it
-	// at the barrier.
-	outbox [][]*v3msg
+	freeRuns     []*fanRun
+	// runs is fanOutV3's per-transmission scratch, one slot per
+	// observer shard, for transmissions sent from this shard.
+	runs []*fanRun
+	// outbox[dst] buffers the fan runs sent from this shard to nodes of
+	// shard dst within the current window; the coordinator drains it at
+	// the barrier.
+	outbox [][]*fanRun
 
 	transmissions uint64
 	deliveries    uint64
@@ -78,21 +101,43 @@ type mediumShard struct {
 	faultDrops    uint64
 }
 
-// v3msg is one (transmission, observer) arrival in flight: everything
-// deliverV3 needs to replay the arrival on the observer's shard.
-type v3msg struct {
-	obs       *node
+// fanRun is one transmission's sensed observers on one shard, in
+// ascending ID order. It is one queue entry at the arrival instant and
+// one at the delayed end, both keyed sim.FanKey(tx, frame, first
+// observer); sim.Scheduler.Substep moves the firing key on to each later
+// observer (see the package comment for why that is exact).
+type fanRun struct {
+	sched     *sim.Scheduler // the observers' shard scheduler
 	f         frame.Frame
-	key       uint64
+	tx, frame uint64 // transmitter ID and frame index of the fan keys
 	when, end sim.Time
-	power     float64
-	decodable bool
+	obs       []fanObs
 }
 
-// v3ArrivalEvent is the pooled trampoline for arrival messages.
-func v3ArrivalEvent(arg any, when sim.Time) {
-	msg := arg.(*v3msg)
-	msg.obs.m.deliverV3(msg, when)
+// key returns observer i's fan key; observer 0's is the run's queue key.
+func (r *fanRun) key(i int) uint64 {
+	return sim.FanKey(r.tx, r.frame, uint64(r.obs[i].n.id))
+}
+
+// fanObs is one observer of a fan run.
+type fanObs struct {
+	n         *node
+	power     float64
+	decodable bool
+	// a is the observer's admitted arrival between the run's arrival
+	// and its completion (decodable observers only).
+	a *arrival
+}
+
+// Pooled trampolines for a fan run's two queue entries.
+func fanArriveEvent(arg any, when sim.Time) {
+	r := arg.(*fanRun)
+	r.obs[0].n.m.arriveRun(r, when)
+}
+
+func fanCompleteEvent(arg any, when sim.Time) {
+	r := arg.(*fanRun)
+	r.obs[0].n.m.completeRun(r, when)
 }
 
 // ConfigureShards partitions the attached nodes across the given keyed
@@ -113,7 +158,7 @@ func (m *Medium) ConfigureShards(scheds []*sim.Scheduler, assign func(frame.Node
 	}
 	m.shards = make([]*mediumShard, ns)
 	for i, s := range scheds {
-		m.shards[i] = &mediumShard{sched: s, outbox: make([][]*v3msg, ns)}
+		m.shards[i] = &mediumShard{sched: s, runs: make([]*fanRun, ns), outbox: make([][]*fanRun, ns)}
 	}
 	for _, n := range m.nodes {
 		si := assign(n.id)
@@ -129,32 +174,34 @@ func (m *Medium) ConfigureShards(scheds []*sim.Scheduler, assign func(frame.Node
 	}
 }
 
-// newMsg takes a message record from the shard's pool (or the serial
+// newRun takes a fan-run record from the shard's pool (or the serial
 // pool), or allocates one.
-func (m *Medium) newMsg(shard int) *v3msg {
-	pool := &m.freeMsgs
+func (m *Medium) newRun(shard int) *fanRun {
+	pool := &m.freeRuns
 	if m.sharded {
-		pool = &m.shards[shard].freeMsgs
+		pool = &m.shards[shard].freeRuns
 	}
 	if n := len(*pool); n > 0 {
-		msg := (*pool)[n-1]
+		r := (*pool)[n-1]
 		(*pool)[n-1] = nil
 		*pool = (*pool)[:n-1]
-		return msg
+		return r
 	}
-	return &v3msg{}
+	return &fanRun{}
 }
 
-// releaseMsg returns a delivered message to the pool of the shard it
-// was delivered on (messages migrate between pools with the traffic).
-func (m *Medium) releaseMsg(shard int, msg *v3msg) {
-	*msg = v3msg{}
+// releaseRun returns a completed run to the pool of the shard it was
+// delivered on (runs migrate between pools with the traffic), keeping
+// its observer slice's capacity.
+func (m *Medium) releaseRun(shard int, r *fanRun) {
+	clear(r.obs)
+	*r = fanRun{obs: r.obs[:0]}
 	if m.sharded {
 		sh := m.shards[shard]
-		sh.freeMsgs = append(sh.freeMsgs, msg)
+		sh.freeRuns = append(sh.freeRuns, r)
 		return
 	}
-	m.freeMsgs = append(m.freeMsgs, msg)
+	m.freeRuns = append(m.freeRuns, r)
 }
 
 // arrivalFor mirrors newArrival for the sharded pools.
@@ -176,18 +223,18 @@ func (m *Medium) arrivalFor(shard int) *arrival {
 // channel model v3. Draw derivation is identical to fanOutV2 — same
 // pair keys, same frame counters, same uniform thresholds — so at equal
 // seeds v3 sees the very shadowing draws v2 does. What differs is
-// delivery: each sensed observer gets an arrival message at now+δ
-// keyed by sim.FanKey(tx, frame, obs), scheduled directly on the
-// observer's shard when local and buffered in the outbox for the
-// barrier exchange when remote.
+// delivery: the sensed observers are gathered into one fan run per
+// observer shard, whose arrival entry at now+δ is scheduled directly
+// when the shard is the transmitter's own and buffered in the outbox
+// for the barrier exchange otherwise.
 func (m *Medium) fanOutV3(tx *node, f frame.Frame, now, end sim.Time) {
 	delta := rng.Mix64Delta(tx.txCount)
 	frameIdx := tx.txCount
 	tx.txCount++
 	sigma := m.cfg.Model.SigmaDB
-	var txShard *mediumShard
+	runs := m.runs
 	if m.sharded {
-		txShard = m.shards[tx.shard]
+		runs = m.shards[tx.shard].runs
 	}
 	for i := range tx.neighbors {
 		nb := &tx.neighbors[i]
@@ -196,44 +243,72 @@ func (m *Medium) fanOutV3(tx *node, f frame.Frame, now, end sim.Time) {
 			continue // neither sensed nor decodable
 		}
 		obs := nb.obs
-		msg := m.newMsg(tx.shard)
-		msg.obs = obs
-		msg.f = f
-		msg.key = sim.FanKey(uint64(tx.id), frameIdx, uint64(obs.id))
-		msg.when = now + V3PropDelay
-		msg.end = end + V3PropDelay
-		if u >= nb.uRx {
-			msg.decodable = true
-			msg.power = nb.meanDBm + sigma*rng.InvNormCDF(u)
+		r := runs[obs.shard]
+		if r == nil {
+			r = m.newRun(tx.shard)
+			r.sched = obs.sched
+			r.f = f
+			r.tx, r.frame = uint64(tx.id), frameIdx
+			r.when, r.end = now+V3PropDelay, end+V3PropDelay
+			runs[obs.shard] = r
 		}
-		if txShard == nil || obs.shard == tx.shard {
-			obs.sched.AtKeyedArg(msg.when, msg.key, v3ArrivalEvent, msg)
+		o := fanObs{n: obs}
+		if u >= nb.uRx {
+			o.decodable = true
+			o.power = nb.meanDBm + sigma*rng.InvNormCDF(u)
+		}
+		r.obs = append(r.obs, o)
+	}
+	for si, r := range runs {
+		if r == nil {
+			continue
+		}
+		runs[si] = nil
+		if si == tx.shard {
+			r.sched.AtKeyedArg(r.when, r.key(0), fanArriveEvent, r)
 		} else {
-			txShard.outbox[obs.shard] = append(txShard.outbox[obs.shard], msg)
+			outbox := m.shards[tx.shard].outbox
+			outbox[si] = append(outbox[si], r)
 		}
 	}
 }
 
-// deliverV3 replays one arrival at its observer: carrier goes busy at
-// the arrival instant; a decodable arrival is resolved against the
-// observer's live arrivals and completes (with the folded busy-end) at
-// the frame's delayed end, a sensed-only arrival just schedules the
-// busy-end. Both follow-up events reuse the message's fan key — each
-// observer gets exactly one of them per transmission, and the arrival
-// and end instants differ (airtime is positive), so keys stay unique
-// per instant.
-func (m *Medium) deliverV3(msg *v3msg, now sim.Time) {
-	obs := msg.obs
-	m.busyStart(obs, now)
-	if msg.decodable {
-		a := m.arrivalFor(obs.shard)
-		m.resolveArrival(obs, a, msg.f, msg.power, now, msg.end)
-		a.withBusyEnd = true
-		obs.sched.AtKeyedArg(msg.end, msg.key, completeEvent, a)
-	} else {
-		obs.sched.AtKeyedArg(msg.end, msg.key, busyEndEvent, obs)
+// arriveRun replays a run's arrivals, observer by observer under each
+// one's own fan key: carrier goes busy at the arrival instant, and a
+// decodable arrival is resolved against the observer's live arrivals.
+// It then schedules the run's completion at the frame's delayed end
+// under the run key — arrival and end instants differ (airtime is
+// positive), so the key stays unique per instant.
+func (m *Medium) arriveRun(r *fanRun, now sim.Time) {
+	for i := range r.obs {
+		o := &r.obs[i]
+		if i > 0 {
+			r.sched.Substep(r.key(i))
+		}
+		m.busyStart(o.n, now)
+		if o.decodable {
+			o.a = m.arrivalFor(o.n.shard)
+			m.resolveArrival(o.n, o.a, r.f, o.power, now, r.end)
+		}
 	}
-	m.releaseMsg(obs.shard, msg)
+	r.sched.AtKeyedArg(r.end, r.key(0), fanCompleteEvent, r)
+}
+
+// completeRun finishes a run at the delayed end, observer by observer
+// under each one's own fan key: a decodable arrival completes, then the
+// carrier busy-end follows (FrameReceived before CarrierIdle).
+func (m *Medium) completeRun(r *fanRun, now sim.Time) {
+	for i := range r.obs {
+		o := &r.obs[i]
+		if i > 0 {
+			r.sched.Substep(r.key(i))
+		}
+		if o.a != nil {
+			m.complete(o.n, o.a)
+		}
+		m.busyEnd(o.n, now)
+	}
+	m.releaseRun(r.obs[0].n.shard, r)
 }
 
 // ExchangeShardMessages drains every shard's outboxes into the
@@ -245,12 +320,8 @@ func (m *Medium) deliverV3(msg *v3msg, now sim.Time) {
 func (m *Medium) ExchangeShardMessages() {
 	for _, src := range m.shards {
 		for dst, row := range src.outbox {
-			if len(row) == 0 {
-				continue
-			}
-			sched := m.shards[dst].sched
-			for i, msg := range row {
-				sched.AtKeyedArg(msg.when, msg.key, v3ArrivalEvent, msg)
+			for i, r := range row {
+				r.sched.AtKeyedArg(r.when, r.key(0), fanArriveEvent, r)
 				row[i] = nil
 			}
 			src.outbox[dst] = row[:0]

@@ -32,29 +32,54 @@ var v3Script = []v3Tx{
 	{11*sim.Millisecond + V3PropDelay, 5, 4},
 }
 
+// keyRecorder is a recorder that also notes, at every callback, the key
+// of the event firing on its node's scheduler.
+type keyRecorder struct {
+	recorder
+	sched *sim.Scheduler
+	keys  []uint64
+}
+
+func (r *keyRecorder) CarrierBusy(now sim.Time) {
+	r.keys = append(r.keys, r.sched.CurrentKey())
+	r.recorder.CarrierBusy(now)
+}
+
+func (r *keyRecorder) CarrierIdle(now sim.Time) {
+	r.keys = append(r.keys, r.sched.CurrentKey())
+	r.recorder.CarrierIdle(now)
+}
+
+func (r *keyRecorder) FrameReceived(f frame.Frame, now sim.Time) {
+	r.keys = append(r.keys, r.sched.CurrentKey())
+	r.recorder.FrameReceived(f, now)
+}
+
+// v3Nodes is the node count of runV3Script's line.
+const v3Nodes = 6
+
 // runV3Script plays v3Script over six nodes 90 m apart on a line (each
 // decodes its neighbours up to two hops away and senses the rest) on
 // channel model v3, either on one keyed scheduler (shards = 1) or on a
 // ShardGroup of that many keyed schedulers whose barrier exchange is
 // ExchangeShardMessages, with node i on shard i % shards. It returns
-// every listener's event log.
-func runV3Script(t *testing.T, shards int) [][]event {
+// every node's listener.
+func runV3Script(t *testing.T, shards int) []*keyRecorder {
 	t.Helper()
-	const nodes = 6
 	scheds := make([]*sim.Scheduler, shards)
 	for i := range scheds {
 		scheds[i] = &sim.Scheduler{}
-		scheds[i].EnableKeyed(nodes)
+		scheds[i].EnableKeyed(v3Nodes)
 	}
 	cfg := deterministicConfig()
 	cfg.Channel = ChannelV3
 	m := New(scheds[0], cfg, rng.New(1))
-	recs := make([]*recorder, nodes)
+	shardOf := func(id frame.NodeID) int { return int(id) % shards }
+	recs := make([]*keyRecorder, v3Nodes)
 	for i := range recs {
-		recs[i] = &recorder{}
+		recs[i] = &keyRecorder{sched: scheds[shardOf(frame.NodeID(i))]}
 		m.Attach(frame.NodeID(i), phys.Point{X: 90 * float64(i)}, detRadio(), recs[i])
 	}
-	shardOf := func(id frame.NodeID) int { return int(id) % shards }
 	if shards > 1 {
 		m.ConfigureShards(scheds, shardOf)
 	}
@@ -71,53 +96,53 @@ func runV3Script(t *testing.T, shards int) [][]event {
 	} else {
 		scheds[0].Run(until)
 	}
-	logs := make([][]event, nodes)
-	for i, r := range recs {
-		logs[i] = r.events
+	return recs
+}
+
+// v3Explains reports whether scripted transmission i explains event e at
+// node id: every arrival lands V3PropDelay after the transmitter's
+// instant, so an observer's carrier goes busy δ after a transmission
+// starts and idle δ after it ends, and decodes the frame δ after its
+// end; only the transmitter's own carrier follows its transmission with
+// no delay.
+func v3Explains(i int, id frame.NodeID, e event) bool {
+	tx := v3Script[i]
+	rts := testRTS(tx.src, tx.dst)
+	start, end := tx.at, tx.at+rts.Airtime(detRadio().BitRate)
+	if tx.src != id {
+		start, end = start+V3PropDelay, end+V3PropDelay
 	}
-	return logs
+	switch {
+	case e.kind == "busy" && e.at == start,
+		e.kind == "idle" && e.at == end,
+		e.kind == "frame" && tx.src != id && e.f == rts && e.at == end:
+		return true
+	}
+	return false
 }
 
 // TestV3ShardedListenersMatchKeyedSerial: a transmit script played on
 // one keyed v3 scheduler and on a 2-shard ShardGroup exchanging through
 // ExchangeShardMessages gives every listener the same sequence of
-// (time, callback, frame). Every arrival lands V3PropDelay after the
-// transmitter's instant: an observer's carrier goes busy δ after a
-// transmission starts and idle δ after it ends, and decodes the frame
-// δ after its end; only the transmitter's own carrier follows its
-// transmission with no delay.
+// (time, callback, frame), and every event is δ = V3PropDelay after a
+// scripted transmission (see v3Explains).
 func TestV3ShardedListenersMatchKeyedSerial(t *testing.T) {
 	serial := runV3Script(t, 1)
 	sharded := runV3Script(t, 2)
 	for id := range serial {
-		if !reflect.DeepEqual(serial[id], sharded[id]) {
-			t.Errorf("node %d: serial and 2-shard listener logs differ\nserial:  %v\nsharded: %v", id, serial[id], sharded[id])
+		if !reflect.DeepEqual(serial[id].events, sharded[id].events) {
+			t.Errorf("node %d: serial and 2-shard listener logs differ\nserial:  %v\nsharded: %v", id, serial[id].events, sharded[id].events)
 		}
 	}
 
-	bitRate := detRadio().BitRate
-	// causes reports whether some scripted transmission explains an
-	// event at node id of the given kind at instant at.
-	causes := func(id frame.NodeID, kind string, at sim.Time, f frame.Frame) bool {
-		for _, tx := range v3Script {
-			rts := testRTS(tx.src, tx.dst)
-			start, end := tx.at, tx.at+rts.Airtime(bitRate)
-			if tx.src != id {
-				start, end = start+V3PropDelay, end+V3PropDelay
-			}
-			switch {
-			case kind == "busy" && at == start,
-				kind == "idle" && at == end,
-				kind == "frame" && tx.src != id && f == rts && at == end:
-				return true
-			}
-		}
-		return false
-	}
 	frames := 0
-	for id, log := range serial {
-		for _, e := range log {
-			if !causes(frame.NodeID(id), e.kind, e.at, e.f) {
+	for id, r := range serial {
+		for _, e := range r.events {
+			explained := false
+			for i := range v3Script {
+				explained = explained || v3Explains(i, frame.NodeID(id), e)
+			}
+			if !explained {
 				t.Errorf("node %d: %s at %v (frame %+v) is not δ = %v after any transmission", id, e.kind, e.at, e.f, V3PropDelay)
 			}
 			if e.kind == "frame" {
@@ -130,5 +155,45 @@ func TestV3ShardedListenersMatchKeyedSerial(t *testing.T) {
 	// collide at some observers.
 	if frames < 12 {
 		t.Errorf("%d frames decoded in all, want at least 12", frames)
+	}
+}
+
+// TestV3FanRunKeys: a fan run is one queue entry for many observers, yet
+// every observer's callbacks must run under that observer's own fan key
+// FanKey(tx, frame, obs), serially and at 2 and 3 shards — the key is
+// what owner counters and the barrier fan-in read. The transmitter's
+// own carrier events run under its owner keys (bit 63 set).
+func TestV3FanRunKeys(t *testing.T) {
+	// frameIdx[i] is scripted transmission i's per-transmitter frame
+	// index (the script is in time order).
+	frameIdx := make([]uint64, len(v3Script))
+	var sent [v3Nodes]uint64
+	for i, tx := range v3Script {
+		frameIdx[i] = sent[tx.src]
+		sent[tx.src]++
+	}
+	for _, shards := range []int{1, 2, 3} {
+		for id, r := range runV3Script(t, shards) {
+			obs := frame.NodeID(id)
+			for j, e := range r.events {
+				key, ok := r.keys[j], false
+				for i, tx := range v3Script {
+					if !v3Explains(i, obs, e) {
+						continue
+					}
+					if tx.src == obs {
+						ok = key >= 1<<63
+					} else {
+						ok = key == sim.FanKey(uint64(tx.src), frameIdx[i], uint64(obs))
+					}
+					if ok {
+						break
+					}
+				}
+				if !ok {
+					t.Errorf("%d shards: node %d: %s at %v ran under key %#x, not a fan key of a transmission it observed", shards, id, e.kind, e.at, key)
+				}
+			}
+		}
 	}
 }

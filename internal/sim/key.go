@@ -142,3 +142,26 @@ func (s *Scheduler) AtKeyedArg(when Time, key uint64, fn func(arg any, when Time
 	s.live++
 	return EventRef{s: s, idx: idx, gen: ev.gen}
 }
+
+// Substep hands the firing event over to the next key of a batch: one
+// queue entry that stands for several keyed events at the same instant,
+// such as the medium's fan run (one transmission's observers on one
+// shard, fired under the first observer's fan key). It publishes key as
+// CurrentKey and as the owner context and counts one fired event, so
+// owner counters, fan-in tags and EventsFired come out exactly as if
+// each key had been its own queue entry. That equivalence is the
+// caller's to keep: no other event may carry a key between the batch's
+// keys at this instant. A batch is one pop, so Stop and Interrupt act
+// on its boundaries only. Substep panics on a non-keyed scheduler and
+// on a key that is not strictly above the current one.
+func (s *Scheduler) Substep(key uint64) {
+	if !s.keyed {
+		panic("sim: Substep on a non-keyed scheduler")
+	}
+	if key <= s.curKey {
+		panic(fmt.Sprintf("sim: Substep key %#x not above current key %#x", key, s.curKey))
+	}
+	s.curOwner = ownerOfKey(key)
+	s.curKey = key
+	s.fired++
+}

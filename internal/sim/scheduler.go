@@ -105,16 +105,18 @@ type Scheduler struct {
 
 	// interrupted is the one concurrency-safe bit of scheduler state:
 	// Interrupt (callable from any goroutine) sets it, and Run polls it
-	// every interruptStride events — the hook that lets a wall-time
+	// every interruptStride queue pops — the hook that lets a wall-time
 	// watchdog cancel a hung run without the kernel ever reading the
 	// host clock itself.
 	interrupted atomic.Bool
 }
 
-// interruptStride is how many events Run fires between polls of the
-// interrupted flag: frequent enough to stop a runaway zero-time event
-// loop within microseconds, rare enough that the atomic load vanishes
-// against event dispatch cost.
+// interruptStride is how many queue pops Run makes between polls of
+// the interrupted flag: frequent enough to stop a runaway zero-time
+// event loop within microseconds, rare enough that the atomic load
+// vanishes against event dispatch cost. Pops, not fired events, set the
+// pace: one pop of a batched keyed event (see Substep) fires several,
+// and a fired-count stride could step over every poll.
 const interruptStride = 1024
 
 // Now returns the current simulated time.
@@ -295,8 +297,8 @@ func (s *Scheduler) ClearInterrupt() { s.interrupted.Store(false) }
 // beyond until).
 func (s *Scheduler) Run(until Time) {
 	s.stopped = false
-	for s.live > 0 && !s.stopped {
-		if s.fired&(interruptStride-1) == 0 && s.interrupted.Load() {
+	for pops := 0; s.live > 0 && !s.stopped; pops++ {
+		if pops&(interruptStride-1) == 0 && s.interrupted.Load() {
 			return // cancelled: leave the clock at the last fired event
 		}
 		e, ok := s.q.pop()
@@ -326,8 +328,8 @@ func (s *Scheduler) Run(until Time) {
 // same stride as Run, so a watchdog stops a window mid-drain.
 func (s *Scheduler) RunWindow(horizon Time) {
 	s.stopped = false
-	for s.live > 0 && !s.stopped {
-		if s.fired&(interruptStride-1) == 0 && s.interrupted.Load() {
+	for pops := 0; s.live > 0 && !s.stopped; pops++ {
+		if pops&(interruptStride-1) == 0 && s.interrupted.Load() {
 			return
 		}
 		e, ok := s.q.pop()
@@ -372,8 +374,8 @@ func (s *Scheduler) NextTime() (Time, bool) {
 // tests; experiment runs use Run with a horizon.
 func (s *Scheduler) Drain() {
 	s.stopped = false
-	for s.live > 0 && !s.stopped {
-		if s.fired&(interruptStride-1) == 0 && s.interrupted.Load() {
+	for pops := 0; s.live > 0 && !s.stopped; pops++ {
+		if pops&(interruptStride-1) == 0 && s.interrupted.Load() {
 			return
 		}
 		e, ok := s.q.pop()

@@ -235,7 +235,7 @@ func (g *ShardGroup) runShardWindow(i int, s *Scheduler, h Time) {
 }
 
 // Interrupt stops the group at the next window boundary and every shard
-// at its next event-stride poll within the current window. Safe from
+// at its next stride poll within the current window. Safe from
 // any goroutine; used by the per-seed wall-time watchdog.
 func (g *ShardGroup) Interrupt() {
 	g.interrupted.Store(true)

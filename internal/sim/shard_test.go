@@ -94,6 +94,112 @@ func TestEnableKeyedAfterSchedulingPanics(t *testing.T) {
 	s.EnableKeyed(4)
 }
 
+// TestKeyedSubstep: inside one queue entry, Substep publishes each later
+// key as CurrentKey and as the owner context and counts one fired event
+// per key, so a batch looks like separate events to owner counters,
+// fan-in tags and EventsFired.
+func TestKeyedSubstep(t *testing.T) {
+	var s Scheduler
+	s.EnableKeyed(8)
+	var keys []uint64
+	s.AtKeyedArg(Millisecond, FanKey(1, 0, 2), func(any, Time) {
+		keys = append(keys, s.CurrentKey())
+		s.At(2*Millisecond, func() {}) // charged to owner 2
+		s.Substep(FanKey(1, 0, 5))
+		keys = append(keys, s.CurrentKey())
+		s.At(2*Millisecond, func() {}) // charged to owner 5
+	}, nil)
+	s.Run(Millisecond)
+	if want := []uint64{FanKey(1, 0, 2), FanKey(1, 0, 5)}; fmt.Sprint(keys) != fmt.Sprint(want) {
+		t.Errorf("CurrentKey inside the batch = %#x, want %#x", keys, want)
+	}
+	if s.EventsFired() != 2 {
+		t.Errorf("EventsFired = %d, want 2", s.EventsFired())
+	}
+	if s.ownerCtr[2] != 1 || s.ownerCtr[5] != 1 {
+		t.Errorf("owner counters 2, 5 = %d, %d, want 1, 1", s.ownerCtr[2], s.ownerCtr[5])
+	}
+}
+
+func TestKeyedSubstepPanics(t *testing.T) {
+	// inEvent runs sub inside an event keyed FanKey(1, 0, 2).
+	inEvent := func(sub func(s *Scheduler)) func() {
+		return func() {
+			var s Scheduler
+			s.EnableKeyed(8)
+			s.AtKeyedArg(Millisecond, FanKey(1, 0, 2), func(any, Time) { sub(&s) }, nil)
+			s.Run(Second)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		f    func()
+	}{
+		{"non-keyed", func() {
+			var s Scheduler
+			s.At(Millisecond, func() { s.Substep(FanKey(1, 0, 3)) })
+			s.Run(Second)
+		}},
+		{"equal key", inEvent(func(s *Scheduler) { s.Substep(FanKey(1, 0, 2)) })},
+		{"lower key", inEvent(func(s *Scheduler) { s.Substep(FanKey(1, 0, 1)) })},
+		{"not ascending", inEvent(func(s *Scheduler) {
+			s.Substep(FanKey(1, 0, 4))
+			s.Substep(FanKey(1, 0, 3))
+		})},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			c.f()
+		}()
+	}
+}
+
+// TestKeyedSubstepInterruptStride: the interrupt poll is paced by queue
+// pops, not by fired events. Every pop after the first fires two events
+// (one Substep), so EventsFired stays odd and never lands on a multiple
+// of the stride; Run, RunWindow and Drain must still stop the chain
+// within one stride of pops after Interrupt.
+func TestKeyedSubstepInterruptStride(t *testing.T) {
+	const interruptAt, limit = 100, 8 * interruptStride
+	for _, c := range []struct {
+		name string
+		run  func(s *Scheduler)
+	}{
+		{"Run", func(s *Scheduler) { s.Run(Second) }},
+		{"RunWindow", func(s *Scheduler) { s.RunWindow(Second) }},
+		{"Drain", func(s *Scheduler) { s.Drain() }},
+	} {
+		var s Scheduler
+		s.EnableKeyed(2)
+		pops := 0
+		var tick func(any, Time)
+		tick = func(_ any, now Time) {
+			pops++
+			if pops > 1 {
+				s.Substep(FanKey(1, 0, 1))
+			}
+			if pops == interruptAt {
+				s.Interrupt()
+			}
+			if pops < limit {
+				s.AtKeyedArg(now+Microsecond, FanKey(1, 0, 0), tick, nil)
+			}
+		}
+		s.AtKeyedArg(Microsecond, FanKey(1, 0, 0), tick, nil)
+		c.run(&s)
+		if pops < interruptAt || pops > interruptAt+interruptStride {
+			t.Errorf("%s: stopped after %d pops, want within %d of the interrupt at %d", c.name, pops, interruptStride, interruptAt)
+		}
+		if s.EventsFired() != uint64(2*pops-1) {
+			t.Errorf("%s: EventsFired = %d after %d pops, want %d", c.name, s.EventsFired(), pops, 2*pops-1)
+		}
+	}
+}
+
 // --- windows --------------------------------------------------------
 
 // TestRunWindowStopsAtHorizon: RunWindow fires strictly before the
