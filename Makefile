@@ -144,14 +144,18 @@ obs:
 # RunRandom40V2 cell must stay within 5% of the raw kernel — same env
 # gate and machine-local caveat as the obs guard), then the kill -9
 # smoke script: SIGKILL the real dcfserved mid-sweep, restart it, and
-# byte-compare the artifacts against an uninterrupted run. Last, 10 s of
-# fuzzing the spec admission boundary: any spec ToScenario admits must
-# run without panicking.
+# byte-compare the artifacts against an uninterrupted run. Last, 10 s
+# each of fuzzing the three spec boundaries: any spec ToScenario admits
+# must run without panicking, any job spec the daemon admits must
+# survive the spec.json round trip, and any command line macsim accepts
+# must yield the spec -submit would send.
 serve:
 	$(GO) test -race ./internal/serve
 	DCFGUARD_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'ServeGuardSpecMatchesBench|ServeOverheadGuard' -v .
 	./scripts/serve-smoke.sh
 	$(GO) test -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 10s ./internal/experiment
+	$(GO) test -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzFlagsToScenario -fuzztime 10s ./cmd/macsim
 
 # Sharded-kernel gate, under the race detector (shard workers cross
 # goroutines by design): the keyed-ordering and window/barrier unit
@@ -162,7 +166,7 @@ serve:
 shards:
 	$(GO) test -race -run 'Keyed|FanKey|Window|NextTime|ShardGroup|NewShardGroup|V3|Shard' \
 		./internal/sim ./internal/medium ./internal/experiment
-	$(GO) test -run 'Shardmail|Shardsafe' ./internal/lint
+	$(GO) test -run 'Shardmail' ./internal/lint
 
 # The pre-merge gate (see README "Pre-merge gate"), cheapest stages
 # first so failures surface in seconds: gofmt, vet and the determinism

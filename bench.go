@@ -196,9 +196,9 @@ func LoadBench(path string) (map[string]BenchEntry, error) {
 // guards and `macsim bench` time every run with it, so a baseline and
 // its check use one estimator.
 func BenchTime(f func() error) (time.Duration, error) {
-	wall0, cpu0 := time.Now(), processCPUTime() //detlint:allow wallclock -- host benchmarking, outside the simulation
+	wall0, cpu0 := time.Now(), processCPUTime()
 	err := f()
-	d, cpu := time.Since(wall0), processCPUTime()-cpu0 //detlint:allow wallclock -- host benchmarking, outside the simulation
+	d, cpu := time.Since(wall0), processCPUTime()-cpu0
 	if cpu > 0 && cpu < d {
 		d = cpu
 	}

@@ -1,22 +1,18 @@
 // Command dcflint runs the detlint static-analysis suite: the analyzers
 // in internal/lint that mechanically enforce the simulator's determinism
-// invariants, interprocedurally since v2. See internal/lint and
-// DESIGN.md §7 and §12.
+// invariants. See internal/lint and DESIGN.md §7 and §12.
 //
 // Usage:
 //
 //	dcflint [flags] [package patterns]
 //
-// With no patterns it analyses ./... . By default every module package
-// is checked — simulation internals, cmd/ binaries, and the top-level
-// package alike — except the lint tooling itself (it shells out to the
-// go command and formats host paths, none of which feeds simulation
-// results). -all lifts the scope filter, -scope and -exclude narrow or
-// widen it, -analyzers selects a subset of checks and -list prints them.
+// With no patterns it analyses ./... . Every matched package is checked
+// except the lint tooling itself (it shells out to the go command and
+// formats host paths, none of which feeds simulation results).
 //
-//	-format text|json|sarif   output format (sarif uploads to code scanning)
-//	-o file                   write the report to file instead of stdout
-//	-audit-allows             list //detlint:allow sites; fail on missing justifications
+//	-format text|sarif   output format (sarif uploads to code scanning)
+//	-o file              write the report to file instead of stdout
+//	-audit-allows        list //detlint:allow sites; fail on missing justifications
 //
 // Every run loads the packages, computes interprocedural facts over all
 // of them, analyzes the scoped packages in parallel and renders the
@@ -36,7 +32,9 @@ import (
 	"dcfguard/internal/lint"
 )
 
-var defaultExclude = "internal/lint"
+// excluded is the import-path fragment of the packages dcflint never
+// analyzes: the lint tooling and its corpora.
+const excluded = "internal/lint"
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -47,12 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dcflint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		all         = fs.Bool("all", false, "analyze every matched package, ignoring the scope filter")
-		scope       = fs.String("scope", "", "comma-separated import-path fragments a package must contain to be analyzed (empty: all)")
-		exclude     = fs.String("exclude", defaultExclude, "comma-separated import-path fragments that exempt a package")
-		analyzers   = fs.String("analyzers", "", "comma-separated analyzer names to run (default: all)")
-		list        = fs.Bool("list", false, "list analyzers and exit")
-		format      = fs.String("format", "text", "output format: text, json, or sarif")
+		format      = fs.String("format", "text", "output format: text or sarif")
 		out         = fs.String("o", "", "write the report to this file instead of stdout")
 		auditAllows = fs.Bool("audit-allows", false, "list //detlint:allow directives; exit non-zero if any lacks a -- justification")
 	)
@@ -62,45 +55,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(stderr, "dcflint: "+format+"\n", args...)
-		return 2
-	}
-
-	if *list {
-		for _, a := range lint.All() {
-			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	checks := lint.All()
-	if *analyzers != "" {
-		checks = lint.ByName(strings.Split(*analyzers, ",")...)
-		if checks == nil {
-			return fail("unknown analyzer in -analyzers=%s", *analyzers)
-		}
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := lint.Load(".", patterns...)
 	if err != nil {
-		return fail("%v", err)
+		fmt.Fprintf(stderr, "dcflint: %v\n", err)
+		return 2
 	}
-
-	kept := pkgs
-	if !*all {
-		kept = nil
-		for _, p := range pkgs {
-			if *scope != "" && !inScope(p.PkgPath, *scope) {
-				continue
-			}
-			if inScope(p.PkgPath, *exclude) {
-				continue
-			}
+	var kept []*lint.Package
+	for _, p := range pkgs {
+		if !inScope(p.PkgPath, excluded) {
 			kept = append(kept, p)
 		}
 	}
@@ -108,21 +74,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *auditAllows {
 		return runAuditAllows(kept, stdout, stderr)
 	}
+	return check(pkgs, kept, *format, *out, stdout, stderr)
+}
 
-	// Facts are computed over every loaded package, so scoped runs still
-	// see callees outside the scope.
-	diags := lint.RunScoped(pkgs, kept, checks)
-
-	report, err := render(*format, diags)
-	if err != nil {
-		return fail("%v", err)
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, report, 0o644); err != nil {
-			return fail("%v", err)
+// check analyzes the scope packages, with facts computed over all of
+// them so scoped runs still see callees outside the scope, writes the
+// report to out (stdout when empty) and returns the exit status.
+func check(all, scope []*lint.Package, format, out string, stdout, stderr io.Writer) int {
+	diags := lint.RunScoped(all, scope, lint.All())
+	report, err := render(format, diags)
+	if err == nil {
+		if out != "" {
+			err = os.WriteFile(out, report, 0o644)
+		} else {
+			_, err = stdout.Write(report)
 		}
-	} else if _, err := stdout.Write(report); err != nil {
-		return fail("%v", err)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "dcflint: %v\n", err)
+		return 2
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "dcflint: %d finding(s)\n", len(diags))
@@ -157,20 +127,11 @@ func runAuditAllows(pkgs []*lint.Package, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// inScope reports whether pkgPath contains any of the comma-separated
-// fragments as a path component boundary match.
-func inScope(pkgPath, fragments string) bool {
-	for _, frag := range strings.Split(fragments, ",") {
-		frag = strings.TrimSuffix(strings.TrimSpace(frag), "/")
-		if frag == "" {
-			continue
-		}
-		if pkgPath == frag ||
-			strings.HasPrefix(pkgPath, frag+"/") ||
-			strings.Contains(pkgPath, "/"+frag+"/") ||
-			strings.HasSuffix(pkgPath, "/"+frag) {
-			return true
-		}
-	}
-	return false
+// inScope reports whether pkgPath contains the import-path fragment
+// frag at path-component boundaries.
+func inScope(pkgPath, frag string) bool {
+	return pkgPath == frag ||
+		strings.HasPrefix(pkgPath, frag+"/") ||
+		strings.Contains(pkgPath, "/"+frag+"/") ||
+		strings.HasSuffix(pkgPath, "/"+frag)
 }

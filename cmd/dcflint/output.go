@@ -22,22 +22,10 @@ func render(format string, diags []lint.Diagnostic) ([]byte, error) {
 		}
 		return []byte(b.String()), nil
 
-	case "json":
-		out := make([]lint.Diagnostic, 0, len(diags))
-		out = append(out, diags...)
-		for i := range out {
-			out[i].Pos.Filename = relpath(out[i].Pos.Filename)
-		}
-		b, err := json.MarshalIndent(out, "", "\t")
-		if err != nil {
-			return nil, err
-		}
-		return append(b, '\n'), nil
-
 	case "sarif":
 		return renderSARIF(diags)
 	}
-	return nil, fmt.Errorf("unknown -format %q (want text, json, or sarif)", format)
+	return nil, fmt.Errorf("unknown -format %q (want text or sarif)", format)
 }
 
 // Minimal SARIF 2.1.0 — the subset GitHub code scanning ingests: one

@@ -57,7 +57,7 @@ func run() error {
 		combined = &dcfguard.Report{
 			Title: "dcfguard experiment report",
 			Preamble: fmt.Sprintf("Reproduction of Kyasanur & Vaidya, DSN 2003. "+
-				"Generated %s by cmd/figures.", time.Now().Format("2006-01-02")), //detlint:allow wallclock -- report generation date stamp, host-side output
+				"Generated %s by cmd/figures.", time.Now().Format("2006-01-02")),
 		}
 	}
 
@@ -93,14 +93,14 @@ func run() error {
 		}
 	}
 
-	start := time.Now() //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+	start := time.Now()
 	for _, f := range figs {
 		if err := emit(f, cfg, *outDir, *chart, combined); err != nil {
 			return err
 		}
 	}
 	if combined != nil {
-		if err := atomicio.WriteFile(*report, []byte(combined.Markdown(time.Since(start))), 0o644); err != nil { //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+		if err := atomicio.WriteFile(*report, []byte(combined.Markdown(time.Since(start))), 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (%d sections)\n", *report, combined.Len())
@@ -112,7 +112,7 @@ func run() error {
 // with its chart when asked; it also adds them to the combined report
 // and, given an output directory, writes them as <file>.txt and .csv.
 func emit(f experiment.Figure, cfg dcfguard.Config, outDir string, chart bool, combined *dcfguard.Report) error {
-	start := time.Now() //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+	start := time.Now()
 	tables, err := f.Run(cfg)
 	if err != nil {
 		return err
@@ -131,7 +131,7 @@ func emit(f experiment.Figure, cfg dcfguard.Config, outDir string, chart bool, c
 				fmt.Println(plot)
 			}
 		}
-		fmt.Printf("(generated in %v)\n\n", time.Since(start).Round(time.Millisecond)) //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+		fmt.Printf("(generated in %v)\n\n", time.Since(start).Round(time.Millisecond))
 		if outDir != "" {
 			base := filepath.Join(outDir, f.Files[i])
 			if err := atomicio.WriteFile(base+".txt", []byte(t.Render()), 0o644); err != nil {

@@ -29,7 +29,7 @@ func runBench(args []string) error {
 		return fmt.Errorf("takes no flags or arguments, got %q", args)
 	}
 	file := dcfguard.BenchFile{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //detlint:allow wallclock -- benchmark provenance stamp
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,

@@ -384,7 +384,7 @@ func reportFailure(f *dcfguard.SeedFailure) {
 }
 
 func runSingle(s dcfguard.Scenario, c *cli) error {
-	start := time.Now() //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+	start := time.Now()
 	r, err := dcfguard.RunGuarded(s, c.seed, c.seedTO)
 	if err != nil {
 		var f *dcfguard.SeedFailure
@@ -394,7 +394,7 @@ func runSingle(s dcfguard.Scenario, c *cli) error {
 		return err
 	}
 	fmt.Printf("scenario          %s (seed %d, %v simulated, %v wall)\n",
-		r.Scenario, r.Seed, r.Duration, time.Since(start).Round(time.Millisecond)) //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+		r.Scenario, r.Seed, r.Duration, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("protocol          %s, strategy %s, PM %d%%\n", s.Protocol, s.Strategy, s.PM)
 	fmt.Printf("total goodput     %.1f Kbps\n", r.TotalKbps)
 	fmt.Printf("AVG (honest)      %.1f Kbps/node\n", r.AvgHonestKbps)
@@ -456,7 +456,7 @@ func runSingle(s dcfguard.Scenario, c *cli) error {
 }
 
 func runAggregate(s dcfguard.Scenario, c *cli, o *obsRun) error {
-	start := time.Now() //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+	start := time.Now()
 	cells := make([]dcfguard.SweepCell, c.seeds)
 	for i, seed := range dcfguard.Seeds(c.seeds) {
 		cells[i] = dcfguard.SweepCell{Scenario: s, Seed: seed}
@@ -505,7 +505,7 @@ func runAggregate(s dcfguard.Scenario, c *cli, o *obsRun) error {
 
 func printAggregate(agg dcfguard.Aggregate, series bool, start time.Time) {
 	fmt.Printf("scenario          %s (%d seeds, %v wall)\n",
-		agg.Scenario, agg.Runs, time.Since(start).Round(time.Millisecond)) //detlint:allow wallclock -- host-side CLI timing, outside the simulation
+		agg.Scenario, agg.Runs, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("total goodput     %.1f ± %.1f Kbps\n", agg.TotalKbps.Mean, agg.TotalKbps.CI95)
 	fmt.Printf("AVG (honest)      %.1f ± %.1f Kbps/node\n", agg.AvgHonestKbps.Mean, agg.AvgHonestKbps.CI95)
 	fmt.Printf("MSB (misbehaving) %.1f ± %.1f Kbps/node\n", agg.AvgMisbehaverKbps.Mean, agg.AvgMisbehaverKbps.CI95)

@@ -29,105 +29,108 @@ func buildScenario(args ...string) (experiment.ScenarioSpec, experiment.Scenario
 	return sp, s, err
 }
 
+// flagCases are TestFlagsToScenario's command lines; they also seed
+// FuzzFlagsToScenario.
+var flagCases = []struct {
+	name    string
+	args    []string
+	wantErr string
+	check   func(t *testing.T, sp experiment.ScenarioSpec, s experiment.Scenario)
+}{
+	{name: "defaults", check: func(t *testing.T, sp experiment.ScenarioSpec, s experiment.Scenario) {
+		def := experiment.DefaultScenario()
+		if s.Name != "zero-flow" || s.Protocol != def.Protocol || s.Strategy != def.Strategy ||
+			s.Channel != def.Channel || s.Duration != def.Duration || s.Shards != 0 || s.Faults.Enabled() {
+			t.Fatalf("defaults drifted from DefaultScenario: %+v", sp)
+		}
+		if got := s.Topo(1).Misbehaving; len(got) != 1 || got[0] != 3 {
+			t.Fatalf("star misbehavers %v, want [3]", got)
+		}
+	}},
+	{name: "protocol 802.11", args: []string{"-protocol", "802.11"}, check: wantProtocol(experiment.Protocol80211)},
+	{name: "protocol 80211", args: []string{"-protocol", "80211"}, check: wantProtocol(experiment.Protocol80211)},
+	{name: "protocol correct", args: []string{"-protocol", "correct"}, check: wantProtocol(experiment.ProtocolCorrect)},
+	{name: "protocol CORRECT", args: []string{"-protocol", "CORRECT"}, check: wantProtocol(experiment.ProtocolCorrect)},
+	{name: "protocol unknown", args: []string{"-protocol", "aloha"}, wantErr: "unknown protocol"},
+	{name: "strategy unknown", args: []string{"-strategy", "greedy"}, wantErr: "unknown strategy"},
+	{name: "two-flow star", args: []string{"-two-flow", "-mis-node", "0"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		if s.Name != "two-flow" || len(s.Topo(1).Misbehaving) != 0 {
+			t.Fatalf("name %q, misbehavers %v", s.Name, s.Topo(1).Misbehaving)
+		}
+	}},
+	{name: "random", args: []string{"-random", "40", "-mis", "4"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		tp := s.Topo(1)
+		if s.Name != "random-40" || len(tp.Positions) != 40 || len(tp.Misbehaving) != 4 {
+			t.Fatalf("name %q, %d nodes, %d misbehavers", s.Name, len(tp.Positions), len(tp.Misbehaving))
+		}
+	}},
+	{name: "scaled random", args: []string{"-random", "40", "-scaled"}, check: func(t *testing.T, sp experiment.ScenarioSpec, s experiment.Scenario) {
+		if sp.Topo.Kind != "scaled-random" || s.Name != "random-40" {
+			t.Fatalf("topo %+v, name %q", sp.Topo, s.Name)
+		}
+	}},
+	{name: "fer", args: []string{"-fer", "0.2"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		if s.Faults.FER != 0.2 || s.Faults.Burst != nil {
+			t.Fatalf("faults %+v", s.Faults)
+		}
+	}},
+	{name: "burst replaces fer", args: []string{"-fer", "0.2", "-burst", "0.1,0.25"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		if s.Faults.FER != 0 || s.Faults.Burst == nil || s.Faults.Burst.PBadGood != 0.25 {
+			t.Fatalf("faults %+v", s.Faults)
+		}
+	}},
+	{name: "burst malformed", args: []string{"-burst", "0.1"}, wantErr: "-burst"},
+	{name: "burst out of range", args: []string{"-burst", "1.5,0.25"}, wantErr: "need fer in [0,1)"},
+	{name: "churn", args: []string{"-churn", "5s,200ms"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		if s.Faults.ChurnInterval != dcfguard.Time(5*time.Second) || s.Faults.ChurnDowntime != dcfguard.Time(200*time.Millisecond) {
+			t.Fatalf("faults %+v", s.Faults)
+		}
+	}},
+	{name: "churn malformed", args: []string{"-churn", "often"}, wantErr: "churn_interval"},
+	{name: "churn downtime malformed", args: []string{"-churn", "5s,briefly"}, wantErr: "churn_downtime"},
+	{name: "mac and core knobs", args: []string{"-basic", "-adaptive", "-block"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		if !s.MAC.BasicAccess || !s.Core.AdaptiveThresh || !s.Core.BlockDiagnosed {
+			t.Fatalf("mac %+v core %+v", s.MAC, s.Core)
+		}
+	}},
+	{name: "series and timeline", args: []string{"-series", "-timeline", "8"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		if s.BinSize != dcfguard.Second || s.TraceEvents != 8 {
+			t.Fatalf("bin %v, trace events %d", s.BinSize, s.TraceEvents)
+		}
+	}},
+	{name: "shards need v3", args: []string{"-shards", "2"}, wantErr: "require channel model v3"},
+	{name: "shards on v3", args: []string{"-shards", "2", "-channel", "v3"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
+		if s.Shards != 2 || s.Channel != experiment.ChannelV3 {
+			t.Fatalf("shards %d channel %v", s.Shards, s.Channel)
+		}
+	}},
+	{name: "negative shards", args: []string{"-shards", "-1"}, wantErr: "negative shard count"},
+	{name: "channel unknown", args: []string{"-channel", "v9"}, wantErr: "unknown channel model"},
+	{name: "channel v1 retired", args: []string{"-channel", "v1"}, wantErr: "v1 was retired"},
+	{name: "pcap without timeline", args: []string{"-pcap", "f.pcap"}, wantErr: "-pcap requires -timeline"},
+	{name: "journal without seeds", args: []string{"-journal", "j"}, wantErr: "-journal requires -seeds"},
+	{name: "per-node with seeds", args: []string{"-seeds", "2", "-per-node"}, wantErr: "-per-node cannot be combined with -seeds"},
+	{name: "timeline and pcap with seeds", args: []string{"-seeds", "2", "-timeline", "5", "-pcap", "x.pcap"},
+		wantErr: "-pcap, -timeline cannot be combined with -seeds"},
+	{name: "negative mis-node", args: []string{"-mis-node", "-2"}, wantErr: "-mis-node -2"},
+	{name: "negative seeds", args: []string{"-seeds", "-3"}, wantErr: "-seeds -3"},
+	{name: "mis-node past senders", args: []string{"-mis-node", "99"}, wantErr: "misbehaving id 99 outside senders 1..8"},
+	{name: "two-flow one sender", args: []string{"-two-flow", "-senders", "1"}, wantErr: "misbehaving id 3 outside senders 1..1"},
+	{name: "random one node", args: []string{"-random", "1"}, wantErr: "nodes 1 (want at least 2)"},
+	{name: "random negative mis", args: []string{"-random", "3", "-mis", "-1"}, wantErr: "mis -1 outside 0..3"},
+	{name: "random mis past nodes", args: []string{"-random", "2", "-mis", "5"}, wantErr: "mis 5 outside 0..2"},
+	{name: "follow retired", args: []string{"-submit", "http://127.0.0.1:1", "-follow"}, wantErr: "flag provided but not defined: -follow"},
+	{name: "job and tenant without submit", args: []string{"-tenant", "a", "-job", "b"}, wantErr: "-job, -tenant require -submit"},
+	{name: "submit rejects local-only flags", wantErr: "does not read -cpuprofile, -debug-addr, -diag-csv, -explain, -explain-json, -journal, -memprofile, -metrics, -pcap, -per-node, -progress, -seedtimeout, -series, -timeline, -trace, -trace-events, -trace-out",
+		args: []string{"-submit", "http://127.0.0.1:1", "-timeline", "3", "-pcap", "p", "-series", "-per-node", "-journal", "j",
+			"-seedtimeout", "1s", "-metrics", "m", "-trace-events", "all", "-trace-out", "t", "-diag-csv", "d", "-explain", "3",
+			"-explain-json", "e", "-progress", "-debug-addr", "localhost:0", "-cpuprofile", "c", "-memprofile", "m", "-trace", "x"}},
+	{name: "submit accepts scenario flags", args: []string{"-submit", "http://127.0.0.1:1", "-job", "j", "-tenant", "t",
+		"-random", "40", "-pm", "60", "-seeds", "3", "-csv", "out.csv", "-fer", "0.1", "-basic"}},
+}
+
 func TestFlagsToScenario(t *testing.T) {
-	cases := []struct {
-		name    string
-		args    []string
-		wantErr string
-		check   func(t *testing.T, sp experiment.ScenarioSpec, s experiment.Scenario)
-	}{
-		{name: "defaults", check: func(t *testing.T, sp experiment.ScenarioSpec, s experiment.Scenario) {
-			def := experiment.DefaultScenario()
-			if s.Name != "zero-flow" || s.Protocol != def.Protocol || s.Strategy != def.Strategy ||
-				s.Channel != def.Channel || s.Duration != def.Duration || s.Shards != 0 || s.Faults.Enabled() {
-				t.Fatalf("defaults drifted from DefaultScenario: %+v", sp)
-			}
-			if got := s.Topo(1).Misbehaving; len(got) != 1 || got[0] != 3 {
-				t.Fatalf("star misbehavers %v, want [3]", got)
-			}
-		}},
-		{name: "protocol 802.11", args: []string{"-protocol", "802.11"}, check: wantProtocol(experiment.Protocol80211)},
-		{name: "protocol 80211", args: []string{"-protocol", "80211"}, check: wantProtocol(experiment.Protocol80211)},
-		{name: "protocol correct", args: []string{"-protocol", "correct"}, check: wantProtocol(experiment.ProtocolCorrect)},
-		{name: "protocol CORRECT", args: []string{"-protocol", "CORRECT"}, check: wantProtocol(experiment.ProtocolCorrect)},
-		{name: "protocol unknown", args: []string{"-protocol", "aloha"}, wantErr: "unknown protocol"},
-		{name: "strategy unknown", args: []string{"-strategy", "greedy"}, wantErr: "unknown strategy"},
-		{name: "two-flow star", args: []string{"-two-flow", "-mis-node", "0"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			if s.Name != "two-flow" || len(s.Topo(1).Misbehaving) != 0 {
-				t.Fatalf("name %q, misbehavers %v", s.Name, s.Topo(1).Misbehaving)
-			}
-		}},
-		{name: "random", args: []string{"-random", "40", "-mis", "4"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			tp := s.Topo(1)
-			if s.Name != "random-40" || len(tp.Positions) != 40 || len(tp.Misbehaving) != 4 {
-				t.Fatalf("name %q, %d nodes, %d misbehavers", s.Name, len(tp.Positions), len(tp.Misbehaving))
-			}
-		}},
-		{name: "scaled random", args: []string{"-random", "40", "-scaled"}, check: func(t *testing.T, sp experiment.ScenarioSpec, s experiment.Scenario) {
-			if sp.Topo.Kind != "scaled-random" || s.Name != "random-40" {
-				t.Fatalf("topo %+v, name %q", sp.Topo, s.Name)
-			}
-		}},
-		{name: "fer", args: []string{"-fer", "0.2"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			if s.Faults.FER != 0.2 || s.Faults.Burst != nil {
-				t.Fatalf("faults %+v", s.Faults)
-			}
-		}},
-		{name: "burst replaces fer", args: []string{"-fer", "0.2", "-burst", "0.1,0.25"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			if s.Faults.FER != 0 || s.Faults.Burst == nil || s.Faults.Burst.PBadGood != 0.25 {
-				t.Fatalf("faults %+v", s.Faults)
-			}
-		}},
-		{name: "burst malformed", args: []string{"-burst", "0.1"}, wantErr: "-burst"},
-		{name: "burst out of range", args: []string{"-burst", "1.5,0.25"}, wantErr: "need fer in [0,1)"},
-		{name: "churn", args: []string{"-churn", "5s,200ms"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			if s.Faults.ChurnInterval != dcfguard.Time(5*time.Second) || s.Faults.ChurnDowntime != dcfguard.Time(200*time.Millisecond) {
-				t.Fatalf("faults %+v", s.Faults)
-			}
-		}},
-		{name: "churn malformed", args: []string{"-churn", "often"}, wantErr: "churn_interval"},
-		{name: "churn downtime malformed", args: []string{"-churn", "5s,briefly"}, wantErr: "churn_downtime"},
-		{name: "mac and core knobs", args: []string{"-basic", "-adaptive", "-block"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			if !s.MAC.BasicAccess || !s.Core.AdaptiveThresh || !s.Core.BlockDiagnosed {
-				t.Fatalf("mac %+v core %+v", s.MAC, s.Core)
-			}
-		}},
-		{name: "series and timeline", args: []string{"-series", "-timeline", "8"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			if s.BinSize != dcfguard.Second || s.TraceEvents != 8 {
-				t.Fatalf("bin %v, trace events %d", s.BinSize, s.TraceEvents)
-			}
-		}},
-		{name: "shards need v3", args: []string{"-shards", "2"}, wantErr: "require channel model v3"},
-		{name: "shards on v3", args: []string{"-shards", "2", "-channel", "v3"}, check: func(t *testing.T, _ experiment.ScenarioSpec, s experiment.Scenario) {
-			if s.Shards != 2 || s.Channel != experiment.ChannelV3 {
-				t.Fatalf("shards %d channel %v", s.Shards, s.Channel)
-			}
-		}},
-		{name: "negative shards", args: []string{"-shards", "-1"}, wantErr: "negative shard count"},
-		{name: "channel unknown", args: []string{"-channel", "v9"}, wantErr: "unknown channel model"},
-		{name: "channel v1 retired", args: []string{"-channel", "v1"}, wantErr: "v1 was retired"},
-		{name: "pcap without timeline", args: []string{"-pcap", "f.pcap"}, wantErr: "-pcap requires -timeline"},
-		{name: "journal without seeds", args: []string{"-journal", "j"}, wantErr: "-journal requires -seeds"},
-		{name: "per-node with seeds", args: []string{"-seeds", "2", "-per-node"}, wantErr: "-per-node cannot be combined with -seeds"},
-		{name: "timeline and pcap with seeds", args: []string{"-seeds", "2", "-timeline", "5", "-pcap", "x.pcap"},
-			wantErr: "-pcap, -timeline cannot be combined with -seeds"},
-		{name: "negative mis-node", args: []string{"-mis-node", "-2"}, wantErr: "-mis-node -2"},
-		{name: "negative seeds", args: []string{"-seeds", "-3"}, wantErr: "-seeds -3"},
-		{name: "mis-node past senders", args: []string{"-mis-node", "99"}, wantErr: "misbehaving id 99 outside senders 1..8"},
-		{name: "two-flow one sender", args: []string{"-two-flow", "-senders", "1"}, wantErr: "misbehaving id 3 outside senders 1..1"},
-		{name: "random one node", args: []string{"-random", "1"}, wantErr: "nodes 1 (want at least 2)"},
-		{name: "random negative mis", args: []string{"-random", "3", "-mis", "-1"}, wantErr: "mis -1 outside 0..3"},
-		{name: "random mis past nodes", args: []string{"-random", "2", "-mis", "5"}, wantErr: "mis 5 outside 0..2"},
-		{name: "follow retired", args: []string{"-submit", "http://127.0.0.1:1", "-follow"}, wantErr: "flag provided but not defined: -follow"},
-		{name: "job and tenant without submit", args: []string{"-tenant", "a", "-job", "b"}, wantErr: "-job, -tenant require -submit"},
-		{name: "submit rejects local-only flags", wantErr: "does not read -cpuprofile, -debug-addr, -diag-csv, -explain, -explain-json, -journal, -memprofile, -metrics, -pcap, -per-node, -progress, -seedtimeout, -series, -timeline, -trace, -trace-events, -trace-out",
-			args: []string{"-submit", "http://127.0.0.1:1", "-timeline", "3", "-pcap", "p", "-series", "-per-node", "-journal", "j",
-				"-seedtimeout", "1s", "-metrics", "m", "-trace-events", "all", "-trace-out", "t", "-diag-csv", "d", "-explain", "3",
-				"-explain-json", "e", "-progress", "-debug-addr", "localhost:0", "-cpuprofile", "c", "-memprofile", "m", "-trace", "x"}},
-		{name: "submit accepts scenario flags", args: []string{"-submit", "http://127.0.0.1:1", "-job", "j", "-tenant", "t",
-			"-random", "40", "-pm", "60", "-seeds", "3", "-csv", "out.csv", "-fer", "0.1", "-basic"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range flagCases {
 		t.Run(tc.name, func(t *testing.T) {
 			sp, s, err := buildScenario(tc.args...)
 			if tc.wantErr != "" {

@@ -187,7 +187,7 @@ func (o *obsRun) startTicker(start time.Time) (stop func()) {
 	go func() {
 		defer close(finished)
 		const interval = 2 * time.Second
-		tick := time.NewTicker(interval) //detlint:allow wallclock -- live progress display refresh, host-side
+		tick := time.NewTicker(interval)
 		defer tick.Stop()
 		var lastEvents int64
 		for {
@@ -215,7 +215,7 @@ func (o *obsRun) startTicker(start time.Time) (stop func()) {
 				// ETA excludes journal-resumed cells from the rate (they
 				// cost no compute); the arithmetic lives on SweepSnapshot
 				// so the serve daemon's job status agrees with this line.
-				if eta := snap.ETA(time.Since(start)); eta > 0 { //detlint:allow wallclock -- wall-clock ETA for the human watching the sweep
+				if eta := snap.ETA(time.Since(start)); eta > 0 {
 					line += fmt.Sprintf(", ETA %v", eta.Round(time.Second))
 				}
 				fmt.Fprintln(os.Stderr, line)

@@ -77,7 +77,7 @@ func followJob(base, name string) error {
 				return fmt.Errorf("follow: %v (giving up after %d attempts)", err, attempt+1)
 			}
 			fmt.Fprintf(os.Stderr, "follow: %v: reconnecting\n", err)
-			time.Sleep(time.Second) //detlint:allow wallclock -- client-side reconnect pacing; no simulation state involved
+			time.Sleep(time.Second)
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
@@ -94,7 +94,7 @@ func followJob(base, name string) error {
 			return fmt.Errorf("follow: stream kept dropping (giving up after %d attempts)", attempt+1)
 		}
 		fmt.Fprintln(os.Stderr, "follow: stream dropped, resuming")
-		time.Sleep(time.Second) //detlint:allow wallclock -- client-side reconnect pacing; no simulation state involved
+		time.Sleep(time.Second)
 	}
 }
 
@@ -202,10 +202,8 @@ func getStatus(base, name string) (serve.JobStatus, error) {
 	return st, err
 }
 
-// runSubmit is the client-mode main loop: submit (with 429 backoff),
-// follow to terminal, download, and translate the final state into the
-// process exit code.
-func runSubmit(c *cli, sp experiment.ScenarioSpec) error {
+// jobSpec wraps the run's scenario spec in the job -submit sends.
+func (c *cli) jobSpec(sp experiment.ScenarioSpec) serve.JobSpec {
 	js := serve.JobSpec{Name: c.job, Tenant: c.tenant, Scenario: sp}
 	if js.Name == "" {
 		js.Name = fmt.Sprintf("macsim-%s-pm%d", sp.Name, sp.PM)
@@ -215,7 +213,14 @@ func runSubmit(c *cli, sp experiment.ScenarioSpec) error {
 	} else {
 		js.SeedList = []uint64{c.seed}
 	}
-	body, err := json.Marshal(js)
+	return js
+}
+
+// runSubmit is the client-mode main loop: submit (with 429 backoff),
+// follow to terminal, download, and translate the final state into the
+// process exit code.
+func runSubmit(c *cli, sp experiment.ScenarioSpec) error {
+	body, err := json.Marshal(c.jobSpec(sp))
 	if err != nil {
 		return err
 	}
@@ -235,7 +240,7 @@ func runSubmit(c *cli, sp experiment.ScenarioSpec) error {
 			}
 			wait := retryAfterHint(resp, 2*time.Second)
 			fmt.Fprintf(os.Stderr, "daemon busy (429): retrying in %s\n", wait)
-			time.Sleep(wait) //detlint:allow wallclock -- client-side backoff obeying the daemon's Retry-After; no simulation state involved
+			time.Sleep(wait)
 			continue
 		}
 		if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {

@@ -26,20 +26,6 @@ func inspectWithStack(f *ast.File, visit func(n ast.Node, stack []ast.Node) bool
 	})
 }
 
-// enclosingFuncBody returns the body of the innermost function literal
-// or declaration on the stack, excluding node n itself.
-func enclosingFuncBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
-		}
-	}
-	return nil
-}
-
 // pkgFuncOf resolves a selector like time.Now or rand.Intn to (import
 // path, function name). It returns ok=false for anything that is not a
 // direct reference to a package-level function of an imported package.
@@ -94,13 +80,6 @@ func pkgBase(path string) string {
 		return path[i+1:]
 	}
 	return path
-}
-
-// isFloat reports whether t's underlying type is a floating-point or
-// complex basic type.
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
 }
 
 // containsFloat reports whether comparing two values of type t with ==

@@ -33,9 +33,9 @@ import (
 //
 // The //detlint:allow-package variant suppresses the named analyzers
 // for the WHOLE package the file belongs to. It exists for packages
-// whose domain legitimately is the thing an analyzer bans — the serve
-// daemon's retry timers and HTTP deadlines are wall-clock by nature —
-// where per-line directives would be pure noise. The blast radius is a
+// whose domain legitimately is the thing an analyzer bans — the
+// benchmark harness times runs on the wall clock by nature — where
+// per-line directives would be pure noise. The blast radius is a
 // package, so the justification after "--" is mandatory: a bare
 // allow-package is reported as a diagnostic, not merely flagged by the
 // audit. `dcflint -audit-allows` lists package-scoped sites alongside

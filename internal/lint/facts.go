@@ -45,17 +45,6 @@ const (
 	// FactGlobalRand: the function (transitively) draws from or mutates
 	// the process-global math/rand source.
 	FactGlobalRand
-	// FactDrawsRNG: the function (transitively) draws randomness from
-	// any source — the global math/rand or a deterministic internal/rng
-	// stream. Unlike FactGlobalRand this is not a violation by itself;
-	// it matters in order-sensitive contexts (map iteration).
-	FactDrawsRNG
-	// FactSchedules: the function (transitively) schedules events on a
-	// duck-typed scheduler (a receiver with both At and AtArg).
-	FactSchedules
-	// FactMutatesShared: the function (transitively) writes
-	// package-level state.
-	FactMutatesShared
 
 	numFacts
 )
@@ -163,7 +152,7 @@ func ComputeFacts(pkgs []*Package) *Facts {
 					facts:         &FuncFacts{},
 					schedParamSet: make(map[int]bool),
 				}
-				seedFunc(pkg, fd, obj, allow, n)
+				seedFunc(pkg, fd, allow, n)
 				nodes[n.key] = n
 			}
 		}
@@ -235,7 +224,7 @@ func schedCallbackSlot(name string) int {
 // seedFunc walks one function body, setting directly-exhibited facts
 // (unless an allow directive sanctions the site) and recording call
 // edges for propagation.
-func seedFunc(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allow allowIndex, n *funcNode) {
+func seedFunc(pkg *Package, fd *ast.FuncDecl, allow allowIndex, n *funcNode) {
 	info := pkg.Info
 	params := paramObjects(info, fd)
 	paramIndex := func(e ast.Expr) int {
@@ -253,10 +242,8 @@ func seedFunc(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allow allowIndex,
 	}
 	set := func(f Fact, pos token.Pos, witness string) {
 		p := pkg.Fset.Position(pos)
-		if f == FactWallClock || f == FactGlobalRand {
-			if allow.allows(p.Filename, p.Line, Wallclock.Name) {
-				return
-			}
+		if allow.allows(p.Filename, p.Line, Wallclock.Name) {
+			return
 		}
 		if !n.facts.has[f] {
 			n.facts.has[f] = true
@@ -274,7 +261,6 @@ func seedFunc(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allow allowIndex,
 							set(FactWallClock, node.Pos(), fmt.Sprintf("reads the wall clock via %s.%s", pkgBase(pkgPath), name))
 						} else {
 							set(FactGlobalRand, node.Pos(), fmt.Sprintf("draws from the %s global source via %s.%s", pkgPath, pkgBase(pkgPath), name))
-							set(FactDrawsRNG, node.Pos(), fmt.Sprintf("draws from the %s global source via %s.%s", pkgPath, pkgBase(pkgPath), name))
 						}
 					}
 				}
@@ -283,15 +269,11 @@ func seedFunc(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allow allowIndex,
 		case *ast.CallExpr:
 			if sel, ok := node.Fun.(*ast.SelectorExpr); ok {
 				if named := namedRecvOf(info, sel); named != nil {
-					if p := named.Obj().Pkg(); p != nil && pkgBase(p.Path()) == "rng" {
-						set(FactDrawsRNG, node.Pos(), fmt.Sprintf("draws from an rng stream via (%s).%s", named.Obj().Name(), sel.Sel.Name))
-					}
+					// Forwarding a parameter straight into a scheduler's
+					// callback slot makes this function a scheduling
+					// trampoline for its caller.
 					if slot := schedCallbackSlot(sel.Sel.Name); slot >= 0 &&
 						hasMethod(named, "At") && hasMethod(named, "AtArg") {
-						set(FactSchedules, node.Pos(), fmt.Sprintf("schedules events via (%s).%s", named.Obj().Name(), sel.Sel.Name))
-						// Forwarding a parameter straight into the
-						// callback slot makes this function a scheduling
-						// trampoline for its caller.
 						if slot < len(node.Args) {
 							if i := paramIndex(node.Args[slot]); i >= 0 && !n.schedParamSet[i] {
 								n.schedParamSet[i] = true
@@ -316,18 +298,6 @@ func seedFunc(pkg *Package, fd *ast.FuncDecl, obj *types.Func, allow allowIndex,
 					edge.argParams[i] = paramIndex(a)
 				}
 				n.calls = append(n.calls, edge)
-			}
-
-		case *ast.AssignStmt:
-			for _, lhs := range node.Lhs {
-				if isPackageLevelTarget(info, lhs) {
-					set(FactMutatesShared, node.Pos(), fmt.Sprintf("writes package-level %q", rootIdent(lhs).Name))
-				}
-			}
-
-		case *ast.IncDecStmt:
-			if isPackageLevelTarget(info, node.X) {
-				set(FactMutatesShared, node.Pos(), fmt.Sprintf("writes package-level %q", rootIdent(node.X).Name))
 			}
 		}
 		return true

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 )
 
 // Floateq flags == and != between floating-point expressions. In the
@@ -37,16 +36,10 @@ func runFloateq(pass *Pass) {
 			if xt.Value != nil && yt.Value != nil {
 				return true
 			}
-			if floatComparison(xt.Type) || floatComparison(yt.Type) {
+			if containsFloat(xt.Type) || containsFloat(yt.Type) {
 				pass.Reportf(be.OpPos, "floating-point %s comparison; use a tolerance, an ordering test, or integer state", be.Op)
 			}
 			return true
 		})
 	}
-}
-
-// floatComparison reports whether equality on type t compares floats:
-// directly, or through a struct/array component.
-func floatComparison(t types.Type) bool {
-	return isFloat(t) || containsFloat(t)
 }

@@ -1,12 +1,14 @@
 // Package lint is detlint: a static-analysis suite that mechanically
 // enforces the simulator's determinism invariants. Every figure in the
 // reproduction depends on runs being a pure function of (scenario,
-// seed); the rules that guarantee that — no wall clock, no global
-// math/rand, no observable map-iteration order, no floating-point
-// equality in state machines, no closures on the scheduler hot path,
-// no cross-shard scheduling outside barriers — used to live in
-// comments and code review. The analyzers here turn them into build
-// failures.
+// seed). The dynamic gates (goldens, -race, the allocation and
+// throughput guards) check that on the runs they make; the analyzers
+// here keep only the rules those gates cannot see — no wall clock in
+// simulation packages, no floating-point equality, no closures on the
+// scheduler hot path, no metric lookups by name in handlers, no
+// map-typed shard mailboxes, no hand-rolled counter-RNG keys — and turn
+// them into build failures. DESIGN.md §7 records, per analyzer, the
+// planted bug that every dynamic gate missed.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Reportf, analysistest-style golden diagnostics) but is self-contained
@@ -19,7 +21,7 @@
 //
 // A site that is deliberately exempt carries a directive comment:
 //
-//	//detlint:allow maporder -- rendering only; keys sorted upstream
+//	//detlint:allow floateq -- config sentinel: set literally, never computed
 //
 // either trailing the offending line or on the line(s) immediately
 // above it. See directive.go for the exact placement rules.
@@ -46,6 +48,13 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports findings via pass.Reportf.
 	Run func(*Pass)
+}
+
+// All returns every registered analyzer, in reporting order. Directive
+// validation uses this set, so a new analyzer becomes a legal
+// //detlint:allow name simply by being added here.
+func All() []*Analyzer {
+	return []*Analyzer{Wallclock, Floateq, Hotalloc, Obshot, Shardmail, Rngstream}
 }
 
 // A Pass connects an Analyzer to the single package it is inspecting.

@@ -11,20 +11,12 @@ func TestWallclock(t *testing.T) {
 	linttest.Run(t, "./internal/lint/testdata/src/wallclock", lint.Wallclock)
 }
 
-func TestMaporder(t *testing.T) {
-	linttest.Run(t, "./internal/lint/testdata/src/maporder", lint.Maporder)
-}
-
 func TestFloateq(t *testing.T) {
 	linttest.Run(t, "./internal/lint/testdata/src/floateq", lint.Floateq)
 }
 
 func TestHotalloc(t *testing.T) {
 	linttest.Run(t, "./internal/lint/testdata/src/hotalloc", lint.Hotalloc)
-}
-
-func TestEventalloc(t *testing.T) {
-	linttest.Run(t, "./internal/lint/testdata/src/eventalloc", lint.Eventalloc)
 }
 
 func TestObshot(t *testing.T) {
@@ -55,13 +47,4 @@ func TestAllowPackage(t *testing.T) {
 func TestStubsAreClean(t *testing.T) {
 	linttest.Run(t, "./internal/lint/testdata/src/sim", lint.All()...)
 	linttest.Run(t, "./internal/lint/testdata/src/rng", lint.All()...)
-}
-
-func TestByName(t *testing.T) {
-	if got := lint.ByName("wallclock", "floateq"); len(got) != 2 {
-		t.Fatalf("ByName(wallclock, floateq) = %v analyzers, want 2", len(got))
-	}
-	if got := lint.ByName("wallclock", "nope"); got != nil {
-		t.Fatalf("ByName with unknown name = %v, want nil", got)
-	}
 }

@@ -11,14 +11,6 @@ import (
 	"dcfguard/internal/lint/linttest"
 )
 
-func TestShardsafe(t *testing.T) {
-	linttest.Run(t, "./internal/lint/testdata/src/shardsafe", lint.Shardsafe)
-}
-
-func TestAtomicmix(t *testing.T) {
-	linttest.Run(t, "./internal/lint/testdata/src/atomicmix", lint.Atomicmix)
-}
-
 func TestRngstream(t *testing.T) {
 	linttest.Run(t, "./internal/lint/testdata/src/rngstream", lint.Rngstream)
 }
@@ -129,12 +121,12 @@ func TestModuleIsClean(t *testing.T) {
 	}
 }
 
-// TestAllowSites exercises the audit surface over the directive corpus:
-// every site is reported in order, and justifications after "--" are
-// captured verbatim.
+// TestAllowSites exercises the audit surface over the hotalloc corpus:
+// its one line-scoped site is reported with its analyzer name, and the
+// justification after "--" is captured verbatim.
 func TestAllowSites(t *testing.T) {
 	root := repoRoot(t)
-	pkgs, err := lint.Load(root, "./internal/lint/testdata/src/shardsafe")
+	pkgs, err := lint.Load(root, "./internal/lint/testdata/src/hotalloc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +135,13 @@ func TestAllowSites(t *testing.T) {
 		t.Fatalf("AllowSites = %d sites, want 1:\n%+v", len(sites), sites)
 	}
 	s := sites[0]
-	if len(s.Names) != 1 || s.Names[0] != "shardsafe" {
-		t.Errorf("site names = %v, want [shardsafe]", s.Names)
+	if len(s.Names) != 1 || s.Names[0] != "hotalloc" {
+		t.Errorf("site names = %v, want [hotalloc]", s.Names)
 	}
 	if s.Scope != "line" {
 		t.Errorf("scope = %q, want line", s.Scope)
 	}
-	if want := "self is this worker's own shard index by construction"; s.Justification != want {
+	if want := "runs once at scenario setup, never per frame"; s.Justification != want {
 		t.Errorf("justification = %q, want %q", s.Justification, want)
 	}
 }

@@ -6,7 +6,6 @@ package allowpkg
 //detlint:allow-package wallclock -- corpus stand-in for a daemon package whose domain is host timers
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -20,8 +19,6 @@ func arm(d time.Duration, f func()) *time.Timer {
 }
 
 // Other analyzers are not covered by the wallclock carve-out.
-func leak(m map[string]int) {
-	for k := range m { // want `map iteration emits output`
-		fmt.Println(k)
-	}
+func leak(x float64) bool {
+	return x == 0 // want `floating-point == comparison`
 }

@@ -3,21 +3,16 @@
 package directive
 
 import (
-	"fmt"
 	"time"
 )
 
-func trailing(m map[string]int) {
-	for k := range m { //detlint:allow maporder -- trailing form covers its own line
-		fmt.Println(k)
-	}
+func trailing(x float64) bool {
+	return x == 0 //detlint:allow floateq -- trailing form covers its own line
 }
 
-func standalone(m map[string]int) {
-	//detlint:allow maporder -- standalone form covers the next line
-	for k := range m {
-		fmt.Println(k)
-	}
+func standalone(x float64) bool {
+	//detlint:allow floateq -- standalone form covers the next line
+	return x == 0
 }
 
 // Stacked standalone directives all cover the first non-directive line.
@@ -35,38 +30,28 @@ func multiName(x float64, deadline time.Time) bool {
 
 // A blank line between directive and target breaks the association: the
 // directive covers the blank line, and the violation is still reported.
-func wrongLine(m map[string]int) {
-	//detlint:allow maporder -- ineffective: not adjacent to the loop
+func wrongLine(x float64) bool {
+	//detlint:allow floateq -- ineffective: not adjacent to the comparison
 
-	for k := range m { // want `map iteration emits output`
-		fmt.Println(k)
-	}
+	return x == 0 // want `floating-point == comparison`
 }
 
 // Allowing a different analyzer does not suppress this one's finding.
-func wrongName(m map[string]int) {
-	for k := range m { //detlint:allow floateq // want `map iteration emits output`
-		fmt.Println(k)
-	}
+func wrongName(x float64) bool {
+	return x == 0 //detlint:allow wallclock // want `floating-point == comparison`
 }
 
-func unknownName(m map[string]int) {
-	//detlint:allow maporderr // want `unknown analyzer "maporderr"`
-	for k := range m { // want `map iteration emits output`
-		fmt.Println(k)
-	}
+func unknownName(x float64) bool {
+	//detlint:allow floateqq // want `unknown analyzer "floateqq"`
+	return x == 0 // want `floating-point == comparison`
 }
 
-func missingName(m map[string]int) {
-	for k := range m { //detlint:allow // want `missing analyzer name` `map iteration emits output`
-		fmt.Println(k)
-	}
+func missingName(x float64) bool {
+	return x == 0 //detlint:allow // want `missing analyzer name` `floating-point == comparison`
 }
 
-func unknownVerb(m map[string]int) {
-	for k := range m { //detlint:ignore maporder // want `unknown detlint directive` `map iteration emits output`
-		fmt.Println(k)
-	}
+func unknownVerb(x float64) bool {
+	return x == 0 //detlint:ignore floateq // want `unknown detlint directive` `floating-point == comparison`
 }
 
 // allow-package requires a justification: without one the directive is
@@ -78,9 +63,7 @@ func barePackageDirective(deadline time.Time) bool {
 }
 
 // Unknown analyzer names are rejected in allow-package form too.
-func unknownPackageName(m map[string]int) {
-	//detlint:allow-package maporderr -- typo'd name // want `unknown analyzer "maporderr"`
-	for k := range m { // want `map iteration emits output`
-		fmt.Println(k)
-	}
+func unknownPackageName(x float64) bool {
+	//detlint:allow-package floateqq -- typo'd name // want `unknown analyzer "floateqq"`
+	return x == 0 // want `floating-point == comparison`
 }

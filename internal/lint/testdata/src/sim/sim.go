@@ -29,14 +29,6 @@ type PlainTimer struct{}
 
 func (p *PlainTimer) At(when Time, fn func()) {}
 
-// Event mirrors the real slab record type, so the eventalloc corpus
-// can box it. The slab's own value-literal append (`Event{}`) is the
-// sanctioned allocation and stays unflagged.
-type Event struct {
-	when Time
-	next uint32
-}
-
 // AtKeyedArg mirrors the keyed-scheduling entry point the shardmail
 // and hotalloc corpora exercise.
 func (s *Scheduler) AtKeyedArg(when Time, key uint64, fn func(arg any, when Time), arg any) EventRef {

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"strings"
 )
 
 // Wallclock forbids wall-clock time and the global math/rand source in
@@ -12,6 +13,12 @@ import (
 // process. Simulation code must use the scheduler's clock
 // (sim.Scheduler.Now) and streams from internal/rng instead.
 //
+// Only the packages that hold simulation state are checked: those under
+// internal/, except the sweep daemon (internal/serve), whose backoff
+// timers and deadlines are host time by design. cmd/, the top-level
+// package (bench.go) and the benchmark time runs from outside the
+// simulation and are not analyzed.
+//
 // With facts available the check is interprocedural: a call to a
 // function in ANOTHER package that transitively reads the wall clock is
 // flagged at the call site, with the witness chain naming the root use.
@@ -20,8 +27,16 @@ import (
 // double-reports.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "forbid time.Now/time.Since and the global math/rand source in simulation code, including one call away",
+	Doc:  "forbid time.Now/time.Since and the global math/rand source in simulation packages, including one call away",
 	Run:  runWallclock,
+}
+
+// simulationPackage reports whether the package at path holds
+// simulation state: it lies under an internal/ directory and is not the
+// sweep daemon.
+func simulationPackage(path string) bool {
+	path += "/"
+	return strings.Contains(path, "/internal/") && !strings.Contains(path, "/internal/serve/")
 }
 
 // wallclockBanned maps import path → function name → the replacement to
@@ -58,6 +73,9 @@ var wallclockBanned = map[string]map[string]string{
 }
 
 func runWallclock(pass *Pass) {
+	if !simulationPackage(pass.Pkg.PkgPath) {
+		return
+	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {

@@ -367,7 +367,7 @@ func (m *Medium) Transmit(srcID frame.NodeID, f frame.Frame) sim.Time {
 	end := now + f.Airtime(tx.radio.BitRate)
 	tx.txUntil = end
 	if m.sharded {
-		m.shards[tx.shard].transmissions++ //detlint:allow shardsafe -- indexed by the executing event's own shard: this handler runs on that shard's scheduler
+		m.shards[tx.shard].transmissions++
 	} else {
 		m.transmissions++
 	}
@@ -502,7 +502,7 @@ func (m *Medium) complete(obs *node, a *arrival) {
 		faultDropped = m.cfg.FrameFaults.Drop(f.Src, obs.id)
 		if faultDropped {
 			if m.sharded {
-				m.shards[obs.shard].faultDrops++ //detlint:allow shardsafe -- indexed by the executing event's own shard: this handler runs on that shard's scheduler
+				m.shards[obs.shard].faultDrops++
 			} else {
 				m.faultDrops++
 			}
@@ -513,7 +513,7 @@ func (m *Medium) complete(obs *node, a *arrival) {
 	if corrupted || selfBlocked || faultDropped {
 		if f.Dst == obs.id && !faultDropped {
 			if m.sharded {
-				m.shards[obs.shard].collisions++ //detlint:allow shardsafe -- indexed by the executing event's own shard: this handler runs on that shard's scheduler
+				m.shards[obs.shard].collisions++
 			} else {
 				m.collisions++
 			}
@@ -536,7 +536,7 @@ func (m *Medium) complete(obs *node, a *arrival) {
 		}
 	} else {
 		if m.sharded {
-			m.shards[obs.shard].deliveries++ //detlint:allow shardsafe -- indexed by the executing event's own shard: this handler runs on that shard's scheduler
+			m.shards[obs.shard].deliveries++
 		} else {
 			m.deliveries++
 		}

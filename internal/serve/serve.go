@@ -15,8 +15,6 @@
 // CI smoke script, not just asserted here.
 package serve
 
-//detlint:allow-package wallclock -- the daemon's domain IS host time: backoff sleeps, watchdog budgets, and status ETAs all run on the wall clock, while every scheduling *decision* (which delay, whether to retry, when to trip) is a pure function of counter-RNG and counts. No wall-clock value reaches simulation state; the sim side stays pinned by the determinism goldens.
-
 import (
 	"runtime"
 	"time"

@@ -93,6 +93,11 @@ func (s *Server) recover() error {
 		if err != nil {
 			return fmt.Errorf("serve: recovering job %q: %w", name, err)
 		}
+		// Journal, artifact and GC paths follow the spec's name, so a
+		// spec filed under another directory would split the job in two.
+		if js.Name != name {
+			return fmt.Errorf("serve: recovering job %q: its spec.json names job %q", name, js.Name)
+		}
 		j, err := s.buildJob(js)
 		if err != nil {
 			return fmt.Errorf("serve: recovering job %q: %w", name, err)
@@ -146,7 +151,7 @@ func (s *Server) gcLocked() {
 		return
 	}
 	var term []*job
-	for _, j := range s.jobs { //detlint:allow maporder -- the total sort below (finishedAt, then name) makes the survivor set order-independent
+	for _, j := range s.jobs {
 		if j.terminal() && j.inflight == 0 {
 			term = append(term, j)
 		}

@@ -501,6 +501,31 @@ func TestServeRefusesRetiredChannel(t *testing.T) {
 	}
 }
 
+// TestServeRefusesMisfiledSpec: a spec.json naming job "b" inside
+// jobs/a would journal into jobs/b while the job table keys it "a", and
+// GC would later remove jobs/b and leave the "a" entry behind. The
+// daemon refuses the data dir instead, naming both.
+func TestServeRefusesMisfiledSpec(t *testing.T) {
+	dir := t.TempDir()
+	st := store{dir: dir}
+	if err := st.writeSpec(testSpec("b", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(st.jobDir("b"), st.jobDir("a")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(Options{DataDir: dir, Workers: 1})
+	if err == nil {
+		s.Shutdown()
+		t.Fatal("daemon recovered a spec.json filed under another job's directory")
+	}
+	for _, want := range []string{`"a"`, `"b"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("recovery error %q does not contain %q", err, want)
+		}
+	}
+}
+
 // TestServeHTTP drives the full HTTP surface end to end: health and
 // readiness, submission (including the 400/429/idempotent/conflict
 // paths with Retry-After), status polling, and artifact download.

@@ -66,7 +66,12 @@ type calendarQueue struct {
 }
 
 const (
-	calMinBuckets = 4
+	// calMinBuckets floors the shrink. A queue holding a handful of
+	// entries (a star's MAC timers plus one fan run per transmission)
+	// would cross the grow and shrink thresholds of a smaller floor on
+	// nearly every exchange, each crossing a full redistribution; with
+	// 16 buckets, capacity resizes start above 32 entries.
+	calMinBuckets = 16
 	// calBucketCap is each bucket's share of the shared backing array.
 	// Width calibration keeps mean occupancy around three entries, so
 	// spills past the shared cap are uncommon.
