@@ -7,16 +7,14 @@ import (
 	"strings"
 	"testing"
 
-	"dcfguard/internal/experiment"
 	"dcfguard/internal/serve"
 )
 
 // FuzzFlagsToScenario throws arbitrary command lines (space-separated)
 // at the flag path: parseCLI, then scenarioSpec, then ToScenario. None
-// may panic. A spec a local run accepts must survive its wire encoding
-// unchanged, and the job -submit would send for it must decode on the
-// daemon side to the same spec, which the daemon's admission accepts
-// too.
+// may panic. For a spec a local run accepts, the job -submit would send
+// must encode and decode on the daemon side to an equal spec, which
+// the daemon's admission accepts too.
 func FuzzFlagsToScenario(f *testing.F) {
 	for _, tc := range flagCases {
 		f.Add(strings.Join(tc.args, " "))
@@ -32,17 +30,6 @@ func FuzzFlagsToScenario(f *testing.F) {
 		}
 		if _, err := sp.ToScenario(); err != nil {
 			return
-		}
-		wire, err := json.Marshal(sp)
-		if err != nil {
-			t.Fatalf("encoding an accepted spec: %v", err)
-		}
-		back, err := experiment.DecodeScenarioSpec(bytes.NewReader(wire))
-		if err != nil {
-			t.Fatalf("decoding an accepted spec: %v\n%s", err, wire)
-		}
-		if !reflect.DeepEqual(back, sp) {
-			t.Fatalf("spec changed in an encode/decode round trip:\nbefore %+v\nafter  %+v", sp, back)
 		}
 		body, err := json.Marshal(c.jobSpec(sp))
 		if err != nil {
