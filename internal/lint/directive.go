@@ -11,15 +11,15 @@ import (
 //
 //   - Trailing the offending code, the directive covers its own line:
 //
-//     for id := range m { ... } //detlint:allow maporder -- reason
+//     if x == 0 { ... } //detlint:allow floateq -- reason
 //
 //   - On a line of its own, it covers the next line. Consecutive
 //     standalone directives stack: all of them cover the first line
 //     after the run of directives.
 //
-//     //detlint:allow maporder
 //     //detlint:allow floateq
-//     for id := range m { ... }
+//     //detlint:allow wallclock
+//     if x == 0 && time.Now().Before(t) { ... }
 //
 //   - Anything else — a blank line or unrelated code between directive
 //     and target — breaks the association and the directive silently

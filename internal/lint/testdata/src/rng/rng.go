@@ -1,5 +1,6 @@
 // Package rng is a stub deterministic generator for analyzer tests: the
-// maporder analyzer recognises RNG draws by the receiver's package name.
+// rngstream analyzer recognises stream derivation by the receiver's
+// package name.
 package rng
 
 type Source struct{ state uint64 }
