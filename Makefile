@@ -128,12 +128,15 @@ faults:
 # shared sweep registries cross goroutines): the obs package suite, the
 # frame timeline (an obs sink on the channel trace) with its golden
 # and run tests, the pass-through goldens + crash-ring tests, the
-# obshot analyzer corpus, then the disabled-path wall-time guard
+# JSONL/explain byte-identity digest, then without the race detector
+# the sink allocation guard (zero allocations per record once warm) and
+# the obshot analyzer corpus, then the disabled-path wall-time guard
 # against the BENCH.json baseline (min-of-5 RunRandom40V2 must stay
 # within 2%).
 obs:
 	$(GO) test -race ./internal/obs ./internal/trace
-	$(GO) test -race -run 'Observability|GuardDumpCarriesTraceTail|GuardNoTraceNoTail|RunTrace|Timeline' ./internal/experiment
+	$(GO) test -race -run 'Observability|GuardDumpCarriesTraceTail|GuardNoTraceNoTail|RunTrace|Timeline|JSONLTraceDigest' ./internal/experiment
+	$(GO) test -count=1 -run 'SinkEmitDoesNotAllocate' ./internal/obs
 	$(GO) test -run 'Obshot' ./internal/lint
 	DCFGUARD_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'DisabledObservabilityOverhead' -v .
 

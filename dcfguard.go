@@ -215,7 +215,8 @@ func ParseObsCategories(spec string) (ObsCategorySet, error) { return obs.ParseC
 // ObsAllCategories returns the set containing every trace category.
 func ObsAllCategories() ObsCategorySet { return obs.AllCategories() }
 
-// NewObsJSONL returns a trace sink writing JSON lines to path on Close.
+// NewObsJSONL returns a trace sink streaming JSON lines to a hidden
+// temporary file, renamed to path on Close.
 func NewObsJSONL(path string) *ObsJSONL { return obs.NewJSONLSink(path) }
 
 // NewObsDiagnosisCSV returns a sink collecting diagnosis-trail records

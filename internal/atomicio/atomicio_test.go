@@ -110,3 +110,88 @@ func TestWriteFileTempNameHidden(t *testing.T) {
 	}
 	tmp.Close()
 }
+
+func TestCreateStreamsAndCommits(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
+	if err := WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Create(path, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Abort() // a no-op once committed
+	for _, part := range []string{"one\n", "two\n", "three\n"} {
+		if _, err := f.Write([]byte(part)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Until Commit, path keeps its old bytes.
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("target holds %q before Commit", got)
+	}
+	if err := f.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := os.ReadFile(path)
+	if string(got) != "one\ntwo\nthree\n" {
+		t.Fatalf("read back %q", got)
+	}
+	if fi, _ := os.Stat(path); fi.Mode().Perm() != 0o600 {
+		t.Fatalf("mode %v, want 0600", fi.Mode().Perm())
+	}
+	f.Abort()
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after Commit, want 1", len(entries))
+	}
+}
+
+func TestAbortLeavesTargetAndNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
+	if err := WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Create(path, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("half a trace")); err != nil {
+		t.Fatal(err)
+	}
+	f.Abort()
+	if got, _ := os.ReadFile(path); string(got) != "old" {
+		t.Fatalf("target holds %q after Abort", got)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after Abort, want 1", len(entries))
+	}
+}
+
+func TestCommitKillHookKeepsTemp(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
+	killed := errors.New("killed")
+	var sawTmp string
+	TestHookBeforeRename = func(tmpName, target string) error {
+		sawTmp = tmpName
+		return killed
+	}
+	defer func() { TestHookBeforeRename = nil }()
+	f, err := Create(path, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte("torn"))
+	if err := f.Commit(); !errors.Is(err, killed) {
+		t.Fatalf("Commit returned %v, want the kill error", err)
+	}
+	f.Abort() // must not clean up the simulated crash
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("target exists after a kill before rename: %v", err)
+	}
+	if got, err := os.ReadFile(sawTmp); err != nil || string(got) != "torn" {
+		t.Fatalf("torn temp file: %q, %v", got, err)
+	}
+}

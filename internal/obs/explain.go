@@ -161,16 +161,15 @@ func (e Explanation) Text() string {
 // first, then the evidence records oldest first (windows with their
 // deviation and assignment records interleaved).
 func (e Explanation) JSONL() string {
-	var b strings.Builder
-	appendRecordJSON(&b, e.Decision)
+	b := appendRecordJSON(nil, e.Decision)
 	for _, s := range e.Steps {
 		if s.Assign != nil {
-			appendRecordJSON(&b, *s.Assign)
+			b = appendRecordJSON(b, *s.Assign)
 		}
 		if s.Deviation != nil {
-			appendRecordJSON(&b, *s.Deviation)
+			b = appendRecordJSON(b, *s.Deviation)
 		}
-		appendRecordJSON(&b, s.Window)
+		b = appendRecordJSON(b, s.Window)
 	}
-	return b.String()
+	return string(b)
 }

@@ -20,11 +20,12 @@
 // Trace records are grouped into categories (MAC state transitions,
 // backoff assignment/observation, deviation/penalty computation,
 // diagnosis window updates, channel events); sinks subscribe per
-// category. Three sinks ship with the package: a bounded RingSink whose
+// category. Four sinks ship with the package: a bounded RingSink whose
 // tail ends up in *experiment.SeedFailure crash dumps, a JSONLSink
-// written atomically at Close, and a DiagnosisCSV sink producing the
-// diagnosis-trail export. The record schemas are catalogued in
-// DESIGN.md §9.
+// streamed to a temporary file and committed atomically at Close, a
+// DiagnosisCSV sink producing the diagnosis-trail export, and a
+// CaptureSink holding every record for Explain. The record schemas are
+// catalogued in DESIGN.md §9.
 package obs
 
 import (
@@ -166,7 +167,6 @@ func (f Ref) String() string {
 // Event and Aux are always static strings at emission sites (no
 // formatting on the hot path).
 type Record struct {
-	Cat  Category
 	Time sim.Time
 	// Node is the node the decision happened at (the observer/monitor/
 	// transmitter); Peer the counterpart (sender, addressee), NoNode
@@ -178,7 +178,10 @@ type Record struct {
 	Event string
 	Aux   string
 	// Seq is the frame sequence number involved, 0 when not applicable.
+	// Cat shares its word: the record is copied by value into every
+	// sink, so its size is paid per record per sink.
 	Seq uint32
+	Cat Category
 	// A, B, C, D, E are event-specific numeric payloads.
 	A, B, C, D, E float64
 	// Self is this record's causal identity; Parent references the

@@ -236,6 +236,17 @@ func (s *Server) retryAfter(load int) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
+// admitLocked refuses n more cells with an OverloadError when they
+// would push the outstanding load past QueueCap.
+func (s *Server) admitLocked(n int) error {
+	load := s.loadLocked()
+	if n <= s.opts.QueueCap-load {
+		return nil
+	}
+	s.m.rejected.Inc()
+	return OverloadError{Outstanding: load, QueueCap: s.opts.QueueCap, RetryAfter: s.retryAfter(load)}
+}
+
 // Submit accepts one job: admission control, durable spec record, then
 // enqueue. Resubmitting an identical spec is idempotent (the current
 // status returns); a different spec under a known name is ErrConflict.
@@ -245,6 +256,19 @@ func (s *Server) Submit(js JobSpec) (JobStatus, error) {
 	// that recovery still loads a job journaled before the check.
 	if js.Scenario.TraceEvents > 0 {
 		return JobStatus{}, fmt.Errorf("serve: trace_events is a local-run field (macsim -timeline); a job keeps no frame timeline")
+	}
+	// Admission before expansion: a job that cannot fit is refused
+	// before buildJob allocates its per-seed state. A draining server
+	// and a resubmitted name skip this; the checks below judge them.
+	s.mu.Lock()
+	_, known := s.jobs[js.Name]
+	var err error
+	if !s.closed && !known {
+		err = s.admitLocked(js.cellCount())
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return JobStatus{}, err
 	}
 	nj, err := s.buildJob(js)
 	if err != nil {
@@ -263,11 +287,10 @@ func (s *Server) Submit(js JobSpec) (JobStatus, error) {
 		}
 		return s.statusLocked(prev), nil
 	}
-	if load := s.loadLocked(); load+len(nj.cells) > s.opts.QueueCap {
-		ra := s.retryAfter(load)
+	// The load may have grown since the first check.
+	if err := s.admitLocked(len(nj.cells)); err != nil {
 		s.mu.Unlock()
-		s.m.rejected.Inc()
-		return JobStatus{}, OverloadError{Outstanding: load, QueueCap: s.opts.QueueCap, RetryAfter: ra}
+		return JobStatus{}, err
 	}
 	s.mu.Unlock()
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -199,6 +200,27 @@ func TestServeAdmissionControl(t *testing.T) {
 	}
 	if !s.Ready() {
 		t.Fatal("not ready after backlog drained")
+	}
+}
+
+// TestServeAdmissionBeforeExpansion: a job too large for the queue is
+// refused from its seed count alone, before its seed set and per-seed
+// slots are built, so the refusal costs next to nothing however many
+// seeds it asks for.
+func TestServeAdmissionBeforeExpansion(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, QueueCap: 8})
+	js := testSpec("huge")
+	js.Seeds = 100000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := s.Submit(js)
+	runtime.ReadMemStats(&after)
+	var oe OverloadError
+	if !errors.As(err, &oe) {
+		t.Fatalf("100,000-seed submit: %v, want OverloadError", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refused submit allocated %d bytes, want under 1 MiB", got)
 	}
 }
 
