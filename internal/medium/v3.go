@@ -33,22 +33,22 @@
 // trip per idle interval, which biases v3 detection (DESIGN.md §11).
 //
 // Fan runs. Delivery does not schedule one event per (transmission,
-// observer): fanOutV3 gathers a transmission's sensed observers into one
-// fan run per observer shard, in ascending ID order. A run is two queue
-// entries, both keyed sim.FanKey(tx, frame, first observer): its arrival
-// at now+δ (carrier busy, and admission of each decodable arrival) and
-// its completion at end+δ (each decodable arrival completes, then the
-// carrier goes idle). Inside the run, sim.Scheduler.Substep hands the
-// firing key to each later observer, so owner counters, fan-in tags and
-// EventsFired are those of one event per observer. The batching is
-// exact — the (when, key) handler sequence is unchanged, call for call —
-// because at a run's instant no other event can carry a key inside the
-// run's range (tx, frame, ·): arrival and completion of one frame never
-// share an instant (airtime is positive), owner keys sort above every
-// fan key, and a handler's Transmit schedules only at ≥ now+δ. So no
-// event ever lies between two of a run's observers in (when, key)
-// order, and firing them back to back is the order one entry per
-// observer would have fired them in.
+// observer): fanOut gathers a transmission's sensed observers into one
+// fan run per observer shard, in ascending ID order, as for v2 (see
+// fanOutV2). A v3 run is two queue entries, both keyed sim.FanKey(tx,
+// frame, first observer): its arrival at now+δ (carrier busy, and
+// admission of each decodable arrival) and its completion at end+δ
+// (completeRun, shared with v2). Inside the run, sim.Scheduler.Substep
+// hands the firing key to each later observer, so owner counters,
+// fan-in tags and EventsFired are those of one event per observer. The
+// batching is exact — the (when, key) handler sequence is unchanged,
+// call for call — because at a run's instant no other event can carry a
+// key inside the run's range (tx, frame, ·): arrival and completion of
+// one frame never share an instant (airtime is positive), owner keys
+// sort above every fan key, and a handler's Transmit schedules only at
+// ≥ now+δ. So no event ever lies between two of a run's observers in
+// (when, key) order, and firing them back to back is the order one
+// entry per observer would have fired them in.
 //
 // Sharding (ConfigureShards) assigns each node to one scheduler shard.
 // A run on the transmitter's shard is scheduled directly; runs for
@@ -64,7 +64,6 @@ import (
 	"fmt"
 
 	"dcfguard/internal/frame"
-	"dcfguard/internal/rng"
 	"dcfguard/internal/sim"
 )
 
@@ -102,10 +101,9 @@ type mediumShard struct {
 }
 
 // fanRun is one transmission's sensed observers on one shard, in
-// ascending ID order. It is one queue entry at the arrival instant and
-// one at the delayed end, both keyed sim.FanKey(tx, frame, first
-// observer); sim.Scheduler.Substep moves the firing key on to each later
-// observer (see the package comment for why that is exact).
+// ascending ID order: under v3 one queue entry at the arrival instant
+// and one at the delayed end, keyed as the package comment says; under
+// v2 one FIFO entry at the end, with the transmitter last (fanOutV2).
 type fanRun struct {
 	sched     *sim.Scheduler // the observers' shard scheduler
 	f         frame.Frame
@@ -174,20 +172,19 @@ func (m *Medium) ConfigureShards(scheds []*sim.Scheduler, assign func(frame.Node
 	}
 }
 
-// newRun takes a fan-run record from the shard's pool (or the serial
-// pool), or allocates one.
-func (m *Medium) newRun(shard int) *fanRun {
+// openRun takes a fan-run record from the transmitter's shard pool (or
+// the serial pool), or allocates one, for tx's next frame f delivered on
+// sched from when to end.
+func (m *Medium) openRun(tx *node, sched *sim.Scheduler, f frame.Frame, when, end sim.Time) *fanRun {
 	pool := &m.freeRuns
 	if m.sharded {
-		pool = &m.shards[shard].freeRuns
+		pool = &m.shards[tx.shard].freeRuns
 	}
-	if n := len(*pool); n > 0 {
-		r := (*pool)[n-1]
-		(*pool)[n-1] = nil
-		*pool = (*pool)[:n-1]
-		return r
-	}
-	return &fanRun{}
+	r := take(pool)
+	r.sched, r.f = sched, f
+	r.tx, r.frame = uint64(tx.id), tx.txCount
+	r.when, r.end = when, end
+	return r
 }
 
 // releaseRun returns a completed run to the pool of the shard it was
@@ -204,61 +201,39 @@ func (m *Medium) releaseRun(shard int, r *fanRun) {
 	m.freeRuns = append(m.freeRuns, r)
 }
 
-// arrivalFor mirrors newArrival for the sharded pools.
+// arrivalFor takes an arrival record from the shard's pool (or the
+// serial pool), or allocates one.
 func (m *Medium) arrivalFor(shard int) *arrival {
-	if !m.sharded {
-		return m.newArrival()
+	if m.sharded {
+		return take(&m.shards[shard].freeArrivals)
 	}
-	pool := &m.shards[shard].freeArrivals
-	if n := len(*pool); n > 0 {
-		a := (*pool)[n-1]
-		(*pool)[n-1] = nil
-		*pool = (*pool)[:n-1]
-		return a
-	}
-	return &arrival{}
+	return take(&m.freeArrivals)
 }
 
-// fanOutV3 computes per-observer outcomes for one transmission under
-// channel model v3. Draw derivation is identical to fanOutV2 — same
-// pair keys, same frame counters, same uniform thresholds — so at equal
-// seeds v3 sees the very shadowing draws v2 does. What differs is
-// delivery: the sensed observers are gathered into one fan run per
-// observer shard, whose arrival entry at now+δ is scheduled directly
+// take pops a record from pool, or allocates one.
+func take[T any](pool *[]*T) *T {
+	n := len(*pool)
+	if n == 0 {
+		return new(T)
+	}
+	r := (*pool)[n-1]
+	(*pool)[n-1] = nil
+	*pool = (*pool)[:n-1]
+	return r
+}
+
+// fanOutV3 fans one transmission out under channel model v3: fanOut
+// gathers the sensed observers into one run per observer shard, from
+// now+δ to end+δ, and each run's arrival entry is scheduled directly
 // when the shard is the transmitter's own and buffered in the outbox
 // for the barrier exchange otherwise.
 func (m *Medium) fanOutV3(tx *node, f frame.Frame, now, end sim.Time) {
-	delta := rng.Mix64Delta(tx.txCount)
-	frameIdx := tx.txCount
-	tx.txCount++
-	sigma := m.cfg.Model.SigmaDB
-	runs := m.runs
+	var serial [1]*fanRun
+	runs := serial[:]
 	if m.sharded {
 		runs = m.shards[tx.shard].runs
 	}
-	for i := range tx.neighbors {
-		nb := &tx.neighbors[i]
-		u := rng.CounterUniform(rng.Mix64Pre(nb.pairKey, delta), 0)
-		if u < nb.uCs {
-			continue // neither sensed nor decodable
-		}
-		obs := nb.obs
-		r := runs[obs.shard]
-		if r == nil {
-			r = m.newRun(tx.shard)
-			r.sched = obs.sched
-			r.f = f
-			r.tx, r.frame = uint64(tx.id), frameIdx
-			r.when, r.end = now+V3PropDelay, end+V3PropDelay
-			runs[obs.shard] = r
-		}
-		o := fanObs{n: obs}
-		if u >= nb.uRx {
-			o.decodable = true
-			o.power = nb.meanDBm + sigma*rng.InvNormCDF(u)
-		}
-		r.obs = append(r.obs, o)
-	}
+	m.fanOut(tx, f, now+V3PropDelay, end+V3PropDelay, runs)
 	for si, r := range runs {
 		if r == nil {
 			continue
@@ -271,37 +246,49 @@ func (m *Medium) fanOutV3(tx *node, f frame.Frame, now, end sim.Time) {
 			outbox[si] = append(outbox[si], r)
 		}
 	}
+	// The transmitter hears its own frame without delay: its busy-end
+	// is its own entry at end, not end+δ.
+	tx.sched.AtArg(end, busyEndEvent, tx)
 }
 
 // arriveRun replays a run's arrivals, observer by observer under each
-// one's own fan key: carrier goes busy at the arrival instant, and a
-// decodable arrival is resolved against the observer's live arrivals.
-// It then schedules the run's completion at the frame's delayed end
-// under the run key — arrival and end instants differ (airtime is
-// positive), so the key stays unique per instant.
+// one's own fan key. It then schedules the run's completion at the
+// frame's delayed end under the run key — arrival and end instants
+// differ (airtime is positive), so the key stays unique per instant.
 func (m *Medium) arriveRun(r *fanRun, now sim.Time) {
 	for i := range r.obs {
-		o := &r.obs[i]
 		if i > 0 {
 			r.sched.Substep(r.key(i))
 		}
-		m.busyStart(o.n, now)
-		if o.decodable {
-			o.a = m.arrivalFor(o.n.shard)
-			m.resolveArrival(o.n, o.a, r.f, o.power, now, r.end)
-		}
+		m.arrive(r, &r.obs[i], now)
 	}
 	r.sched.AtKeyedArg(r.end, r.key(0), fanCompleteEvent, r)
 }
 
-// completeRun finishes a run at the delayed end, observer by observer
-// under each one's own fan key: a decodable arrival completes, then the
-// carrier busy-end follows (FrameReceived before CarrierIdle).
+// arrive is one member's arrival: its carrier goes busy, then a
+// decodable frame is resolved against the member's live arrivals.
+func (m *Medium) arrive(r *fanRun, o *fanObs, now sim.Time) {
+	m.busyStart(o.n, now)
+	if o.decodable {
+		o.a = m.arrivalFor(o.n.shard)
+		m.resolveArrival(o.n, o.a, r.f, o.power, now, r.end)
+	}
+}
+
+// completeRun finishes a run at its end, member by member: a decodable
+// arrival completes, then the carrier busy-end follows (FrameReceived
+// before CarrierIdle). Each later member counts as one fired event,
+// under its own fan key (v3, Substep) or in FIFO order (v2,
+// SubstepFIFO, where the transmitter is the last member).
 func (m *Medium) completeRun(r *fanRun, now sim.Time) {
 	for i := range r.obs {
 		o := &r.obs[i]
-		if i > 0 {
+		switch {
+		case i == 0:
+		case m.cfg.Channel == ChannelV3:
 			r.sched.Substep(r.key(i))
+		default:
+			r.sched.SubstepFIFO()
 		}
 		if o.a != nil {
 			m.complete(o.n, o.a)

@@ -417,3 +417,15 @@ func (s *Scheduler) fire(e entry) {
 		fn()
 	}
 }
+
+// SubstepFIFO is Substep for a non-keyed scheduler: inside one queue
+// entry that stands for several FIFO events at one instant (the
+// medium's v2 fan run), it counts the next one as fired. The caller
+// keeps the equivalence: the batch replaces entries that would have
+// held consecutive seqs. It panics on a keyed scheduler.
+func (s *Scheduler) SubstepFIFO() {
+	if s.keyed {
+		panic("sim: SubstepFIFO on a keyed scheduler")
+	}
+	s.fired++
+}

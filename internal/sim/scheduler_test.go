@@ -304,3 +304,27 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 		s.Run(s.Now() + Microsecond)
 	}
 }
+
+// TestSubstepFIFO: inside one FIFO queue entry, SubstepFIFO counts one
+// fired event per later member of the batch, and it refuses a keyed
+// scheduler, where Substep must name each key.
+func TestSubstepFIFO(t *testing.T) {
+	var s Scheduler
+	s.AtArg(Millisecond, func(any, Time) {
+		s.SubstepFIFO()
+		s.SubstepFIFO()
+	}, nil)
+	s.Run(Millisecond)
+	if s.EventsFired() != 3 {
+		t.Errorf("EventsFired = %d, want 3", s.EventsFired())
+	}
+
+	var k Scheduler
+	k.EnableKeyed(4)
+	defer func() {
+		if recover() == nil {
+			t.Error("SubstepFIFO on a keyed scheduler did not panic")
+		}
+	}()
+	k.SubstepFIFO()
+}
