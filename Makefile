@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt vet lint audit race idle-history world-build bench-module bench bench-record bench-large bench-guard bench-paper check check-v2 faults obs serve shards clean
+.PHONY: all build test fmt vet lint loc audit race idle-history world-build bench-module bench bench-record bench-large bench-guard bench-paper check check-v2 faults obs serve shards clean
 
 all: build
 
@@ -26,6 +26,12 @@ vet:
 lint:
 	$(GO) run ./cmd/dcflint ./...
 	@$(GO) run ./cmd/dcflint -audit-allows ./... >/dev/null
+
+# Non-test line count, as ROADMAP.md defines it: tracked .go files
+# under bench.go, cmd/ and internal/, without _test.go files and
+# testdata/.
+loc:
+	@git ls-files -- bench.go 'cmd/*.go' 'internal/*.go' | grep -v -e '_test\.go$$' -e '/testdata/' | xargs cat | wc -l
 
 # Deeper, slower checks that are not part of the pre-merge gate: vet's
 # unsafe-pointer analyzer, plus govulncheck when installed (best-effort —

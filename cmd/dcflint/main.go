@@ -14,9 +14,8 @@
 //	-o file              write the report to file instead of stdout
 //	-audit-allows        list //detlint:allow sites; fail on missing justifications
 //
-// Every run loads the packages, computes interprocedural facts over all
-// of them, analyzes the scoped packages in parallel and renders the
-// findings. Exit status is 0 when clean, 1 when any finding (or, with
+// Every run loads the packages, analyzes the scoped ones in parallel
+// and renders the findings. Exit status is 0 when clean, 1 when any finding (or, with
 // -audit-allows, any unjustified directive) remains, and 2 on a usage
 // or load error.
 package main
@@ -74,14 +73,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *auditAllows {
 		return runAuditAllows(kept, stdout, stderr)
 	}
-	return check(pkgs, kept, *format, *out, stdout, stderr)
+	return check(kept, *format, *out, stdout, stderr)
 }
 
-// check analyzes the scope packages, with facts computed over all of
-// them so scoped runs still see callees outside the scope, writes the
-// report to out (stdout when empty) and returns the exit status.
-func check(all, scope []*lint.Package, format, out string, stdout, stderr io.Writer) int {
-	diags := lint.RunScoped(all, scope, lint.All())
+// check analyzes pkgs, writes the report to out (stdout when empty)
+// and returns the exit status.
+func check(pkgs []*lint.Package, format, out string, stdout, stderr io.Writer) int {
+	diags := lint.Run(pkgs, lint.All())
 	report, err := render(format, diags)
 	if err == nil {
 		if out != "" {

@@ -141,11 +141,11 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"clean corpus", func(o, e *bytes.Buffer) int {
 			pkgs := loadCorpus(t, "sim")
-			return check(pkgs, pkgs, "text", "", o, e)
+			return check(pkgs, "text", "", o, e)
 		}, 0},
 		{"corpus with findings", func(o, e *bytes.Buffer) int {
 			pkgs := loadCorpus(t, "floateq")
-			return check(pkgs, pkgs, "text", "", o, e)
+			return check(pkgs, "text", "", o, e)
 		}, 1},
 		{"findings excluded by default scope", func(o, e *bytes.Buffer) int {
 			return run([]string{"../../internal/lint/testdata/src/floateq"}, o, e)
@@ -171,7 +171,7 @@ func TestExitCodes(t *testing.T) {
 func TestFindingsReport(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	pkgs := loadCorpus(t, "floateq")
-	if code := check(pkgs, pkgs, "text", "", &stdout, &stderr); code != 1 {
+	if code := check(pkgs, "text", "", &stdout, &stderr); code != 1 {
 		t.Fatalf("exit %d, want 1\n%s", code, stderr.String())
 	}
 	lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")

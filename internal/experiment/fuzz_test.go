@@ -33,6 +33,8 @@ func FuzzScenarioSpec(f *testing.F) {
 		`{"name": "two-flow-one", "topo": {"kind": "star", "senders": 1, "two_flow": true, "misbehaving": [3]}, "duration": "1s"}`,
 		// Passed admission, then allocated 10^8 shard outbox rows.
 		`{"name": "many-shards", "topo": {"kind": "star", "senders": 8}, "channel": "v3", "shards": 10000, "duration": "1s"}`,
+		// Passed admission, then asked for 5e7 time-series bins.
+		`{"name": "tiny-bins", "topo": {"kind": "star", "senders": 8}, "bin_size": "1us", "duration": "50s"}`,
 	} {
 		f.Add([]byte(spec))
 	}

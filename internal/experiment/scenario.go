@@ -204,6 +204,9 @@ func StarTopo(nSenders int, twoFlow bool, misbehaving ...int) func(uint64) *topo
 	}
 }
 
+// maxBins bounds the diagnosis time series: Duration/BinSize bins.
+const maxBins = 100_000
+
 // Validate reports whether the scenario is runnable.
 func (s Scenario) Validate() error {
 	switch {
@@ -219,6 +222,15 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("experiment: %s: bit rate %d", s.Name, s.BitRate)
 	case s.QueueDepth < 1:
 		return fmt.Errorf("experiment: %s: queue depth %d", s.Name, s.QueueDepth)
+	case s.CoherenceInterval < 0:
+		return fmt.Errorf("experiment: %s: negative coherence interval %v", s.Name, s.CoherenceInterval)
+	case s.BinSize < 0:
+		return fmt.Errorf("experiment: %s: negative bin size %v", s.Name, s.BinSize)
+	case s.BinSize > 0 && s.Duration/s.BinSize > maxBins:
+		// Each bin costs about 100 B of series, so a 1 µs bin over 50 s
+		// would ask for about 5 GB.
+		return fmt.Errorf("experiment: %s: bin size %v gives %d bins over %v, more than %d",
+			s.Name, s.BinSize, s.Duration/s.BinSize, s.Duration, maxBins)
 	}
 	switch s.Protocol {
 	case Protocol80211, ProtocolCorrect:

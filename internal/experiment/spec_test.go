@@ -168,6 +168,9 @@ func TestScenarioSpecValidation(t *testing.T) {
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", Channel: "v1"}, "v1 was retired"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", Shards: 2}, "v3"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", PM: 120}, "PM"},
+		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", BinSize: "-1ms"}, "negative bin size"},
+		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "1s", CoherenceInterval: "-1us"}, "negative coherence interval"},
+		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1}, Duration: "50s", BinSize: "1us"}, "gives 50000000 bins"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 8}, Duration: "1s", Channel: "v3", Shards: 10000}, "10000 shards exceed the topology's 9 nodes"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "star", Senders: 1, TwoFlow: true}, Duration: "1s", Channel: "v3", Shards: 7}, "7 shards exceed the topology's 6 nodes"},
 		{ScenarioSpec{Name: "x", Topo: TopoSpec{Kind: "scaled-random", Nodes: 3}, Duration: "1s", Channel: "v3", Shards: 4}, "4 shards exceed the topology's 3 nodes"},

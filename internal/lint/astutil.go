@@ -49,7 +49,12 @@ func namedRecvOf(info *types.Info, sel *ast.SelectorExpr) *types.Named {
 	if !ok || s.Kind() != types.MethodVal {
 		return nil
 	}
-	t := s.Recv()
+	return derefNamed(s.Recv())
+}
+
+// derefNamed returns t, or what t points to, as a named type; nil if it
+// is neither.
+func derefNamed(t types.Type) *types.Named {
 	if p, isPtr := t.(*types.Pointer); isPtr {
 		t = p.Elem()
 	}

@@ -14,10 +14,10 @@
 // Reportf, analysistest-style golden diagnostics) but is self-contained
 // on the standard library: packages are loaded via `go list -export`
 // plus the gc export-data importer in load.go, so the module needs no
-// external dependencies and works fully offline. Since detlint v2 the
-// framework is interprocedural: ComputeFacts (facts.go) summarises
-// every function bottom-up over the intra-module call graph, so the
-// analyzers also catch violations hidden one call away.
+// external dependencies and works fully offline. Every analyzer is
+// intraprocedural: no simulation package can import a package that
+// reads the host clock, and a helper that forwards a closure into the
+// scheduler is flagged at its own forwarding site (DESIGN.md §12).
 //
 // A site that is deliberately exempt carries a directive comment:
 //
@@ -61,11 +61,6 @@ func All() []*Analyzer {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Facts is the module-wide interprocedural summary table, computed
-	// over every loaded package (not just the analyzed scope). Nil in
-	// tests that drive an analyzer without facts; all accessors are
-	// nil-safe, degrading to the v1 per-function behaviour.
-	Facts *Facts
 
 	diags *[]Diagnostic
 }
@@ -92,7 +87,7 @@ func (d Diagnostic) String() string {
 
 // analyzePackage runs the analyzers over one package: raw findings,
 // allow-directive filtering, and directive-validity diagnostics.
-func analyzePackage(pkg *Package, facts *Facts, analyzers []*Analyzer) []Diagnostic {
+func analyzePackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool)
 	for _, a := range All() {
 		known[a.Name] = true
@@ -100,7 +95,7 @@ func analyzePackage(pkg *Package, facts *Facts, analyzers []*Analyzer) []Diagnos
 	allow, dirDiags := parseDirectives(pkg, known)
 	var raw []Diagnostic
 	for _, a := range analyzers {
-		a.Run(&Pass{Analyzer: a, Pkg: pkg, Facts: facts, diags: &raw})
+		a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &raw})
 	}
 	var out []Diagnostic
 	for _, d := range raw {
@@ -117,27 +112,19 @@ func analyzePackage(pkg *Package, facts *Facts, analyzers []*Analyzer) []Diagnos
 // plus any diagnostics about malformed directives themselves — sorted by
 // position. Directive names are validated against the full registered
 // set (All), not just the analyzers being run, so a file exercising one
-// analyzer may still carry allow directives for another.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunScoped(pkgs, pkgs, analyzers)
-}
-
-// RunScoped computes interprocedural facts over all loaded packages but
-// analyzes (and reports on) only the scope subset. Packages are
+// analyzer may still carry allow directives for another. Packages are
 // analyzed in parallel; output order is deterministic regardless.
-func RunScoped(all, scope []*Package, analyzers []*Analyzer) []Diagnostic {
-	facts := ComputeFacts(all)
-
-	perPkg := make([][]Diagnostic, len(scope))
+func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	perPkg := make([][]Diagnostic, len(pkgs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, pkg := range scope {
+	for i, pkg := range pkgs {
 		wg.Add(1)
 		go func(i int, pkg *Package) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			perPkg[i] = analyzePackage(pkg, facts, analyzers)
+			perPkg[i] = analyzePackage(pkg, analyzers)
 		}(i, pkg)
 	}
 	wg.Wait()
@@ -148,6 +135,12 @@ func RunScoped(all, scope []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	sortDiagnostics(out)
 	return out
+}
+
+// RunScoped is Run over scope; all is unused. It is kept for the
+// benchmark module's detlint test, which calls it.
+func RunScoped(all, scope []*Package, analyzers []*Analyzer) []Diagnostic {
+	return Run(scope, analyzers)
 }
 
 // sortDiagnostics orders diagnostics by position, then analyzer, then

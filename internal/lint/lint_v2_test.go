@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,62 +34,6 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// TestWallclockIndirect pins the interprocedural upgrade against the
-// exact blindness of the v1 analyzer. The clockdep corpus splits a
-// wall-clock read (helper.Stamp) from its callers (package caller),
-// which never mention time.* themselves.
-func TestWallclockIndirect(t *testing.T) {
-	root := repoRoot(t)
-
-	// v1 behaviour, reproduced: analyzing caller without helper's syntax
-	// loaded yields no facts and therefore no findings — the analyzer is
-	// provably blind to the laundered clock read.
-	callerOnly, err := lint.Load(root, "./internal/lint/testdata/src/clockdep/caller")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := lint.Run(callerOnly, []*lint.Analyzer{lint.Wallclock}); len(diags) != 0 {
-		t.Fatalf("caller-only run (v1 blindness baseline) reported %d diagnostics, want 0:\n%v", len(diags), diags)
-	}
-
-	// v2: facts computed over both packages, analysis scoped to caller.
-	// Both call sites are flagged, each with a witness chain naming the
-	// root time.Now.
-	both, err := lint.Load(root,
-		"./internal/lint/testdata/src/clockdep/helper",
-		"./internal/lint/testdata/src/clockdep/caller")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var caller *lint.Package
-	for _, p := range both {
-		if strings.HasSuffix(p.PkgPath, "/caller") {
-			caller = p
-		}
-	}
-	if caller == nil {
-		t.Fatalf("caller package not among %d loaded packages", len(both))
-	}
-	diags := lint.RunScoped(both, []*lint.Package{caller}, []*lint.Analyzer{lint.Wallclock})
-	if len(diags) != 2 {
-		t.Fatalf("scoped run reported %d diagnostics, want 2:\n%v", len(diags), diags)
-	}
-	for _, want := range []string{
-		"Stamp reads the wall clock indirectly: reads the wall clock via time.Now",
-		"Elapsed reads the wall clock indirectly: calls Stamp, which reads the wall clock via time.Now",
-	} {
-		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no diagnostic matching %q in:\n%v", want, diags)
-		}
-	}
-}
-
 // TestModuleIsClean is the anti-regression pin: the shipping module —
 // everything dcflint checks by default, i.e. all packages except
 // internal/lint and its corpora — must produce zero findings under the
@@ -112,7 +55,7 @@ func TestModuleIsClean(t *testing.T) {
 	if len(scope) == 0 {
 		t.Fatal("no packages in scope")
 	}
-	diags := lint.RunScoped(all, scope, lint.All())
+	diags := lint.Run(scope, lint.All())
 	for _, d := range diags {
 		t.Errorf("unexpected finding: %v", d)
 	}
@@ -168,28 +111,5 @@ func TestAllowSitesPackageScope(t *testing.T) {
 	}
 	if s.Justification == "" {
 		t.Error("package-scoped site lost its justification")
-	}
-}
-
-// TestFactsSchedParams pins the forwarded-parameter summaries that the
-// interprocedural hotalloc rule rides on: armVia forwards its third
-// parameter straight into At, and armDeep inherits that through the
-// fixpoint.
-func TestFactsSchedParams(t *testing.T) {
-	root := repoRoot(t)
-	pkgs, err := lint.Load(root, "./internal/lint/testdata/src/hotalloc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	facts := lint.ComputeFacts(pkgs)
-	for _, name := range []string{"armVia", "armDeep"} {
-		fn, ok := pkgs[0].Types.Scope().Lookup(name).(*types.Func)
-		if !ok {
-			t.Fatalf("no function %s in corpus", name)
-		}
-		ff := facts.Of(fn)
-		if !ff.ForwardsToScheduler(2) {
-			t.Errorf("%s: parameter 2 not summarised as scheduler-forwarded", name)
-		}
 	}
 }

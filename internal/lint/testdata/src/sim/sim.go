@@ -17,10 +17,13 @@ func (s *Scheduler) AtArg(when Time, fn func(arg any, when Time), arg any) Event
 	return EventRef{}
 }
 
-func (s *Scheduler) After(d Time, fn func()) EventRef { return EventRef{} }
+// After and AfterArg forward their callbacks to At and AtArg, as the
+// real scheduler's do: the scheduler's own methods are exempt from the
+// hotalloc forwarding rule, which TestStubsAreClean pins.
+func (s *Scheduler) After(d Time, fn func()) EventRef { return s.At(s.Now()+d, fn) }
 
 func (s *Scheduler) AfterArg(d Time, fn func(arg any, when Time), arg any) EventRef {
-	return EventRef{}
+	return s.AtArg(s.Now()+d, fn, arg)
 }
 
 // PlainTimer has At but no AtArg trampoline: closures passed to it are

@@ -19,15 +19,15 @@ import (
 // package (bench.go) and the benchmark time runs from outside the
 // simulation and are not analyzed.
 //
-// With facts available the check is interprocedural: a call to a
-// function in ANOTHER package that transitively reads the wall clock is
-// flagged at the call site, with the witness chain naming the root use.
-// Same-package callees are exempt from the indirect rule — their direct
-// use is already reported once, at the seed — so a clean module never
-// double-reports.
+// The check is direct only, because no simulation package can reach a
+// clock read hidden one call away. A helper inside one is flagged where
+// it reads the clock. The unchecked packages cannot be imported back:
+// cmd/ holds mains, and internal/serve and the top-level package import
+// internal/experiment, whose import closure holds every simulation
+// package (DESIGN.md §12).
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "forbid time.Now/time.Since and the global math/rand source in simulation packages, including one call away",
+	Doc:  "forbid time.Now/time.Since and the global math/rand source in simulation packages",
 	Run:  runWallclock,
 }
 
@@ -78,10 +78,6 @@ func runWallclock(pass *Pass) {
 	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				reportIndirectClock(pass, call)
-				return true
-			}
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
@@ -105,23 +101,5 @@ func runWallclock(pass *Pass) {
 			}
 			return true
 		})
-	}
-}
-
-// reportIndirectClock flags calls into other packages whose summaries
-// carry a wall-clock or global-rand fact. The seed's own package gets
-// the direct report; the indirect report tells the caller it is
-// laundering nondeterminism through a helper.
-func reportIndirectClock(pass *Pass, call *ast.CallExpr) {
-	callee := calleeOf(pass.Pkg.Info, call)
-	if callee == nil || callee.Pkg() == nil || callee.Pkg() == pass.Pkg.Types {
-		return
-	}
-	ff := pass.Facts.Of(callee)
-	switch {
-	case ff.Has(FactWallClock):
-		pass.Reportf(call.Pos(), "%s reads the wall clock indirectly: %s", callee.Name(), ff.Witness(FactWallClock))
-	case ff.Has(FactGlobalRand):
-		pass.Reportf(call.Pos(), "%s draws from a global rand source indirectly: %s", callee.Name(), ff.Witness(FactGlobalRand))
 	}
 }
