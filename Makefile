@@ -146,9 +146,9 @@ obs:
 	$(GO) test -run 'Obshot' ./internal/lint
 	DCFGUARD_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'DisabledObservabilityOverhead' -v .
 
-# Sweep-daemon gate, under the race detector (workers, backoff timers,
-# and the HTTP mux cross goroutines): the serve package suite (retry
-# policy, breaker, fair scheduling, admission control, restart resume),
+# Sweep-daemon gate, under the race detector (workers and the HTTP mux
+# cross goroutines): the serve package suite (which failures retry,
+# breaker, fair scheduling, admission control, restart resume),
 # the spec-equivalence pin, the daemon overhead guard (a submitted
 # RunRandom40V2 cell must stay within 5% of the raw kernel — same env
 # gate and machine-local caveat as the obs guard), then the kill -9

@@ -39,16 +39,14 @@ func main() {
 
 func run() error {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8457", "listen address")
-		data      = flag.String("data", "serve-data", "data directory (specs, journals, artifacts)")
-		workers   = flag.Int("workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
-		queueCap  = flag.Int("queue", 1024, "max outstanding cells; beyond it submissions get 429 + Retry-After")
-		retries   = flag.Int("retries", 3, "total attempts per cell (1 = no retries)")
-		retryBase = flag.Duration("retry-base", 250*time.Millisecond, "retry backoff base (full jitter, ceiling doubles per retry)")
-		retryMax  = flag.Duration("retry-max", 5*time.Second, "retry backoff ceiling")
-		breakerK  = flag.Int("breaker", 3, "park a job as degraded after K consecutive panicking cells (<=0 disables)")
-		seedTO    = flag.Duration("seedtimeout", 2*time.Minute, "wall-time watchdog per cell (0 disables)")
-		retain    = flag.Int("retain", 0, "keep only the N most recently finished jobs (table and disk); 0 keeps everything, live jobs are never touched")
+		addr     = flag.String("addr", "127.0.0.1:8457", "listen address")
+		data     = flag.String("data", "serve-data", "data directory (specs, journals, artifacts)")
+		workers  = flag.Int("workers", 0, "cell worker pool size (0 = GOMAXPROCS)")
+		queueCap = flag.Int("queue", 1024, "max outstanding cells; beyond it submissions get 429 + Retry-After")
+		retries  = flag.Int("retries", 3, "total attempts per cell for a timeout or a refused journal write, which go back to the queue's tail; a panic or setup error fails at once (1 = no retries)")
+		breakerK = flag.Int("breaker", 3, "park a job as degraded after K consecutive panicking cells (<=0 disables)")
+		seedTO   = flag.Duration("seedtimeout", 2*time.Minute, "wall-time watchdog per cell (0 disables)")
+		retain   = flag.Int("retain", 0, "keep only the N most recently finished jobs (table and disk); 0 keeps everything, live jobs are never touched")
 	)
 	flag.Parse()
 
@@ -56,7 +54,7 @@ func run() error {
 		DataDir:     *data,
 		Workers:     *workers,
 		QueueCap:    *queueCap,
-		Retry:       serve.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase, MaxDelay: *retryMax},
+		Attempts:    max(*retries, 1),
 		BreakerK:    *breakerK,
 		SeedTimeout: *seedTO,
 		Retain:      *retain,

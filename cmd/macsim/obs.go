@@ -41,7 +41,7 @@ func (f *obsFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.debugAddr, "debug-addr", "",
 		"serve live introspection (pprof, /debug/metrics, /debug/sweep) on this address, e.g. localhost:6060")
 	fs.BoolVar(&f.progress, "progress", false,
-		"with -seeds: print a periodic progress line (cells done, failures, retries, events/sec, wall ETA) to stderr")
+		"with -seeds: print a periodic progress line (cells done, failures, events/sec, wall ETA) to stderr")
 	fs.StringVar(&f.explain, "explain", "",
 		"after a single run, print the evidence chain behind every diagnosis decision about this sender id ('all' for every node)")
 	fs.StringVar(&f.explainJSON, "explain-json", "",
@@ -202,9 +202,6 @@ func (o *obsRun) startTicker(start time.Time) (stop func()) {
 				}
 				if snap.Resumed > 0 {
 					line += fmt.Sprintf(", %d resumed", snap.Resumed)
-				}
-				if snap.Retried > 0 {
-					line += fmt.Sprintf(", %d retries", snap.Retried)
 				}
 				// Instantaneous kernel throughput: events fired since the
 				// previous tick, over the tick interval.

@@ -162,10 +162,9 @@ func printFollowEvent(kind, data string) bool {
 			Scenario string `json:"scenario"`
 			Seed     uint64 `json:"seed"`
 			Attempt  int    `json:"attempt"`
-			Delay    string `json:"delay"`
 		}
 		if json.Unmarshal([]byte(data), &r) == nil {
-			fmt.Fprintf(os.Stderr, "cell %s seed %d: retry (attempt %d) in %s\n", r.Scenario, r.Seed, r.Attempt, r.Delay)
+			fmt.Fprintf(os.Stderr, "cell %s seed %d: retry (attempt %d)\n", r.Scenario, r.Seed, r.Attempt)
 		}
 	case "breaker":
 		var b struct {

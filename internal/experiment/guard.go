@@ -27,7 +27,11 @@ type SeedFailure struct {
 	// the budget it enforced.
 	TimedOut bool
 	Timeout  time.Duration
-	// Err records a non-panic run error (setup/validation), if any.
+	// Err records a non-panic error, if any. From RunGuarded it is a
+	// setup error (Validate, the topology's Validate, the shard count),
+	// which reads neither a file nor the clock, so it repeats on every
+	// attempt. The serve daemon also stores a refused journal write
+	// here: the run succeeded but is not durable, and a retry may pass.
 	Err string
 	// Events and SimTime locate how far the run got before it died.
 	Events  uint64

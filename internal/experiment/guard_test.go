@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,52 @@ func TestRunGuardedRecoversPanic(t *testing.T) {
 			t.Fatalf("Dump() missing %q:\n%s", want, dump)
 		}
 	}
+}
+
+// TestRunGuardedPanicRepeats: a run is a pure function of (scenario,
+// seed), so a panicking cell run twice panics with the same value at the
+// same frame. This is why the serve daemon fails a panic on its first
+// attempt. The bomb fires mid-run and its value carries the run's
+// progress, so equal values also say the two runs got equally far.
+func TestRunGuardedPanicRepeats(t *testing.T) {
+	s := quickScenario("guarded-panic-repeats")
+	testKernelHook = func(k sim.Kernel) {
+		k.(*sim.Scheduler).At(150*sim.Millisecond, func() {
+			panic(fmt.Sprintf("injected bug after %d events", k.EventsFired()))
+		})
+	}
+	defer func() { testKernelHook = nil }()
+
+	var fs [2]*SeedFailure
+	for i := range fs {
+		_, err := RunGuarded(s, 3, 0)
+		if !errors.As(err, &fs[i]) || fs[i].Panic == "" {
+			t.Fatalf("attempt %d: got %v, want a panic *SeedFailure", i+1, err)
+		}
+	}
+	if fs[0].Panic != fs[1].Panic {
+		t.Fatalf("panic values differ: %q vs %q", fs[0].Panic, fs[1].Panic)
+	}
+	top0, top1 := panicFrame(fs[0].Stack), panicFrame(fs[1].Stack)
+	if top0 == "" || top0 != top1 {
+		t.Fatalf("top frames differ: %q vs %q", top0, top1)
+	}
+	if !strings.Contains(top0, "TestRunGuardedPanicRepeats") {
+		t.Fatalf("top frame %q is not the injected bomb", top0)
+	}
+}
+
+// panicFrame returns the frame that called panic in a debug.Stack
+// trace: the function line and its file:line, without the PC offset.
+func panicFrame(stack string) string {
+	lines := strings.Split(stack, "\n")
+	for i, l := range lines {
+		if strings.HasPrefix(l, "panic(") && i+3 < len(lines) {
+			file, _, _ := strings.Cut(strings.TrimSpace(lines[i+3]), " +0x")
+			return lines[i+2] + " " + file
+		}
+	}
+	return ""
 }
 
 // TestRunGuardedWatchdogTimeout: a run exceeding its wall-time budget is

@@ -47,7 +47,7 @@ type SweepSnapshot struct {
 	Events int64 `json:"events"`
 	// Retried counts retry attempts scheduled for this sweep's cells
 	// (always 0 for local macsim sweeps, which never retry; the serve
-	// daemon's retry scheduler feeds it).
+	// daemon feeds it when a timed-out or undurable cell is requeued).
 	Retried int `json:"retried"`
 }
 

@@ -19,7 +19,7 @@ import (
 // event. Event kinds:
 //
 //	cell     a cell settled (success, resume, or final failure)
-//	retry    a cell was parked on a backoff timer
+//	retry    a timed-out or undurable cell went back to the queue's tail
 //	breaker  the panic breaker tripped
 //	state    the job changed state; a terminal state ends the stream
 //
@@ -82,7 +82,6 @@ type retryEventData struct {
 	Scenario string `json:"scenario"`
 	Seed     uint64 `json:"seed"`
 	Attempt  int    `json:"attempt"`
-	Delay    string `json:"delay"`
 }
 
 // breakerEventData is the payload of a "breaker" event.

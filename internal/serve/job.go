@@ -13,7 +13,10 @@ import (
 // cells; the job's state is a pure function of its cells' outcomes:
 //
 //	queued ──▶ running ──▶ done        every cell produced a result
-//	                  └──▶ failed      ≥1 cell exhausted its retries
+//	                  └──▶ failed      ≥1 cell failed: a panic or setup
+//	                                   error at once, a timeout or a
+//	                                   refused journal write once its
+//	                                   attempts ran out
 //	                  └──▶ degraded    the panic breaker tripped; the
 //	                                   job is parked with its dumps
 //
@@ -119,18 +122,18 @@ type job struct {
 	// seq orders jobs by acceptance within a tenant (FIFO tiebreak).
 	seq uint64
 
-	state    string
-	pending  []int // cell indexes not yet dispatched (head = next)
-	inflight int   // cells handed to workers and not yet finished
-	waiting  int   // cells parked on a backoff timer
-	// stops holds the cancel funcs of armed backoff timers, by cell.
-	stops    map[int]func()
+	state string
+	// pending holds cell indexes not yet dispatched (head = next); a
+	// retried cell goes back to its tail.
+	pending  []int
+	inflight int // cells handed to workers and not yet finished
 	results  []experiment.Result
 	done     []bool
 	failures []*experiment.SeedFailure
 	attempts []int // per-cell attempts consumed
-	retries  int   // total retries scheduled (for status/metrics)
-	breaker  Breaker
+	// panics is the breaker's streak: consecutive settled cells whose
+	// runs panicked. Any other outcome resets it.
+	panics   int
 	progress *experiment.SweepProgress
 	// started is the wall instant the job left the queue, for the
 	// status ETA only — never a scheduling input.
@@ -155,11 +158,10 @@ func (j *job) terminal() bool {
 	return false
 }
 
-// outstanding reports cells not yet journaled/failed — dispatched,
-// running, or sitting out a backoff — the job's contribution to the
-// admission-controlled backlog.
+// outstanding reports cells not yet journaled/failed — queued or
+// running — the job's contribution to the admission-controlled backlog.
 func (j *job) outstanding() int {
-	return len(j.pending) + j.inflight + j.waiting
+	return len(j.pending) + j.inflight
 }
 
 // finish marks the terminal state and wakes every waiter.

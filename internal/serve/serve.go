@@ -5,14 +5,15 @@
 //
 // The robustness stance, in one paragraph: disk is the source of truth
 // (spec before ack, journal before "done", artifacts before terminal —
-// all through atomicio), decisions are deterministic (retry backoff is
-// counter-RNG jitter keyed by cell identity; the breaker counts
-// consecutive panics; neither reads a clock), and overload is refused
-// at the door (bounded outstanding-cell queue → 429 + Retry-After,
-// /readyz flips) rather than absorbed until collapse. Kill -9 the
-// daemon mid-sweep, restart it, and every artifact comes out
-// byte-for-byte identical — that property is pinned by tests and the
-// CI smoke script, not just asserted here.
+// all through atomicio), decisions are deterministic (a cell is retried
+// only when the host can change its outcome, a timeout or a refused
+// journal write, and goes back to the tail of the queue; the breaker
+// counts consecutive panics; neither reads a clock), and overload is
+// refused at the door (bounded outstanding-cell queue → 429 +
+// Retry-After, /readyz flips) rather than absorbed until collapse.
+// Kill -9 the daemon mid-sweep, restart it, and every artifact comes
+// out byte-for-byte identical — that property is pinned by tests and
+// the CI smoke script, not just asserted here.
 package serve
 
 import (
@@ -32,9 +33,11 @@ type Options struct {
 	// QueueCap bounds total outstanding cells across all jobs; beyond
 	// it, submissions are refused with 429 + Retry-After (0 = 1024).
 	QueueCap int
-	// Retry is the per-cell retry policy; the zero value means
-	// DefaultRetryPolicy.
-	Retry RetryPolicy
+	// Attempts is the per-cell attempt budget, first try included
+	// (0 = 3). Only a timeout or a refused journal write is retried: a
+	// run is a pure function of (scenario, seed), so a panic or a setup
+	// error fails on its first attempt.
+	Attempts int
 	// BreakerK is the per-job consecutive-panic trip threshold
 	// (0 = 3, negative disables the breaker).
 	BreakerK int
@@ -50,10 +53,6 @@ type Options struct {
 	// Registry receives the daemon's "serve"-scoped counters
 	// (nil = a private registry; expose it to share /metrics).
 	Registry *obs.Registry
-	// Timer schedules a function after a delay, returning a cancel
-	// func. Nil means time.AfterFunc; tests inject a manual clock so
-	// retry scheduling is exercised without real sleeps.
-	Timer func(d time.Duration, f func()) (stop func())
 }
 
 func (o Options) withDefaults() Options {
@@ -66,23 +65,17 @@ func (o Options) withDefaults() Options {
 	if o.QueueCap <= 0 {
 		o.QueueCap = 1024
 	}
-	if o.Retry == (RetryPolicy{}) {
-		o.Retry = DefaultRetryPolicy()
+	if o.Attempts == 0 {
+		o.Attempts = 3
 	}
 	switch {
 	case o.BreakerK == 0:
 		o.BreakerK = 3
 	case o.BreakerK < 0:
-		o.BreakerK = 0 // Breaker treats K=0 as disabled.
+		o.BreakerK = 0 // never trips
 	}
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
-	}
-	if o.Timer == nil {
-		o.Timer = func(d time.Duration, f func()) func() {
-			t := time.AfterFunc(d, f)
-			return func() { t.Stop() }
-		}
 	}
 	return o
 }

@@ -194,12 +194,10 @@ func (s *Server) buildJob(js JobSpec) (*job, error) {
 		scenario: scenario,
 		seeds:    seeds,
 		state:    StateQueued,
-		stops:    make(map[int]func()),
 		results:  make([]experiment.Result, len(seeds)),
 		done:     make([]bool, len(seeds)),
 		failures: make([]*experiment.SeedFailure, len(seeds)),
 		attempts: make([]int, len(seeds)),
-		breaker:  Breaker{K: s.opts.BreakerK},
 		progress: &experiment.SweepProgress{},
 		finished: make(chan struct{}),
 	}
@@ -408,28 +406,36 @@ func (s *Server) worker() {
 // a guarded run whose result is journaled before it counts. The journal
 // write preceding the in-memory "done" is what makes kill -9 lose at
 // most the cells mid-flight.
+//
+// A run is a pure function of (scenario, seed), so only the host can
+// make a second attempt end differently: a wall-time timeout (host
+// load) or a refused journal write (the disk). Those two are retryable;
+// a panic or a setup error would repeat exactly, so it is not.
 func (s *Server) runCell(ref cellRef) {
 	cell := ref.j.cells[ref.idx]
 	dir := s.st.journalDir(ref.j.spec.Name)
 	if res, ok, err := experiment.LoadJournaledCell(dir, cell.Scenario.Name, cell.Seed); err == nil && ok {
-		s.cellDone(ref, res, nil, true)
+		s.cellDone(ref, res, nil, true, false)
 		return
 	}
 	res, err := experiment.RunGuarded(cell.Scenario, cell.Seed, s.opts.SeedTimeout)
+	var f *experiment.SeedFailure
+	retry := errors.As(err, &f) && f.TimedOut
 	if err == nil {
 		if jerr := experiment.JournalCell(dir, res); jerr != nil {
-			// A failed checkpoint is a retryable cell failure: the run
-			// was fine but is not durable, so it must not count.
+			// The run was fine but is not durable, so it must not count.
 			err = &experiment.SeedFailure{Scenario: cell.Scenario.Name, Seed: cell.Seed, Err: jerr.Error()}
+			retry = true
 		}
 	}
-	s.cellDone(ref, res, err, false)
+	s.cellDone(ref, res, err, false, retry)
 }
 
 // cellDone folds one cell outcome into the job under the lock: success
-// and resume settle the cell; a failure consults the breaker and the
-// retry budget; the last settled cell finalizes the job.
-func (s *Server) cellDone(ref cellRef, res experiment.Result, err error, resumed bool) {
+// and resume settle the cell; a failure feeds the breaker and, when
+// retry is set and attempts remain, goes back to the tail of the queue;
+// the last settled cell finalizes the job.
+func (s *Server) cellDone(ref cellRef, res experiment.Result, err error, resumed, retry bool) {
 	j, idx := ref.j, ref.idx
 
 	s.mu.Lock()
@@ -452,7 +458,7 @@ func (s *Server) cellDone(ref cellRef, res experiment.Result, err error, resumed
 	case err == nil:
 		j.results[idx] = res
 		j.done[idx] = true
-		j.breaker.RecordOK()
+		j.panics = 0
 		if resumed {
 			j.progress.CellResumed()
 		} else {
@@ -463,18 +469,27 @@ func (s *Server) cellDone(ref cellRef, res experiment.Result, err error, resumed
 
 	default:
 		f := asSeedFailure(err, j.cells[idx])
-		if f.Panic != "" && j.breaker.RecordPanic() {
-			s.parkDegradedLocked(j, idx, f)
-			s.cond.Broadcast()
-			return
-		}
 		if f.Panic == "" {
-			// Timeouts and setup errors are the watchdog doing its job,
-			// not evidence of a poisoned scenario; reset the streak.
-			j.breaker.RecordOK()
+			// Timeouts, setup errors and journal refusals are not
+			// evidence of a poisoned scenario; reset the streak.
+			j.panics = 0
+		} else {
+			j.panics++
+			if s.opts.BreakerK > 0 && j.panics >= s.opts.BreakerK {
+				s.parkDegradedLocked(j, idx, f)
+				s.cond.Broadcast()
+				return
+			}
 		}
-		if j.attempts[idx] < s.opts.Retry.Attempts() {
-			s.scheduleRetryLocked(j, idx)
+		if retry && j.attempts[idx] < s.opts.Attempts {
+			j.pending = append(j.pending, idx)
+			j.progress.CellRetried()
+			s.m.cellsRetried.Inc()
+			s.eventLocked(j, "retry", retryEventData{
+				Scenario: j.cells[idx].Scenario.Name,
+				Seed:     j.cells[idx].Seed,
+				Attempt:  j.attempts[idx],
+			})
 		} else {
 			j.failures[idx] = f
 			j.done[idx] = true
@@ -499,46 +514,8 @@ func asSeedFailure(err error, cell experiment.SweepCell) *experiment.SeedFailure
 	return &experiment.SeedFailure{Scenario: cell.Scenario.Name, Seed: cell.Seed, Err: err.Error()}
 }
 
-// scheduleRetryLocked parks the cell on a backoff timer. The delay is
-// the deterministic full-jitter schedule from the policy; only the
-// *sleeping* touches the host clock, through the injected timer.
-func (s *Server) scheduleRetryLocked(j *job, idx int) {
-	retry := j.attempts[idx] // retry n follows attempt n
-	key := CellKey(j.spec.Name, j.cells[idx].Scenario.Name, j.cells[idx].Seed)
-	delay := s.opts.Retry.Delay(key, retry)
-	j.waiting++
-	j.retries++
-	j.progress.CellRetried()
-	s.m.cellsRetried.Inc()
-	s.eventLocked(j, "retry", retryEventData{
-		Scenario: j.cells[idx].Scenario.Name,
-		Seed:     j.cells[idx].Seed,
-		Attempt:  j.attempts[idx],
-		Delay:    delay.String(),
-	})
-	j.stops[idx] = s.opts.Timer(delay, func() { s.requeue(j, idx) })
-}
-
-// requeue returns a backoff-expired cell to the pending queue (or
-// drops it if the job was parked or the server is draining — disk
-// truth covers it either way).
-func (s *Server) requeue(j *job, idx int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := j.stops[idx]; !ok {
-		return // cancelled by drain or park; already accounted
-	}
-	delete(j.stops, idx)
-	j.waiting--
-	if j.terminal() || s.closed {
-		return
-	}
-	j.pending = append(j.pending, idx)
-	s.cond.Broadcast()
-}
-
 // parkDegradedLocked trips the job: the offending cell is recorded,
-// every queued or waiting cell is dropped, the evidence is written to
+// every queued cell is dropped, the evidence is written to
 // disk, and the job is parked StateDegraded. In-flight siblings drain
 // harmlessly into the terminal check in cellDone.
 func (s *Server) parkDegradedLocked(j *job, idx int, f *experiment.SeedFailure) {
@@ -548,11 +525,6 @@ func (s *Server) parkDegradedLocked(j *job, idx int, f *experiment.SeedFailure) 
 	s.m.cellsFailed.Inc()
 	s.cellEventLocked(j, idx, false, false)
 	j.pending = nil
-	for i, stop := range j.stops {
-		stop()
-		delete(j.stops, i)
-		j.waiting--
-	}
 	rec := degradedRecord{
 		Reason: fmt.Sprintf("circuit breaker: %d consecutive panicking cells (K=%d)", s.opts.BreakerK, s.opts.BreakerK),
 		Dumps:  dumpsOf(j),
@@ -606,7 +578,7 @@ func (s *Server) statusLocked(j *job) JobStatus {
 		Tenant:  j.tenant,
 		State:   j.state,
 		Cells:   snap,
-		Retries: j.retries,
+		Retries: snap.Retried,
 	}
 	if j.state == StateRunning {
 		if eta := snap.ETA(time.Since(j.started)); eta > 0 {
@@ -689,10 +661,10 @@ func (s *Server) Ready() bool {
 	return !s.closed && s.loadLocked() < s.opts.QueueCap
 }
 
-// Shutdown drains gracefully: submissions and dispatch stop, armed
-// backoff timers are cancelled, and every in-flight cell finishes and
-// reaches its journal checkpoint before Shutdown returns. Restarting
-// over the same data directory resumes exactly there.
+// Shutdown drains gracefully: submissions and dispatch stop, and every
+// in-flight cell finishes and reaches its journal checkpoint before
+// Shutdown returns. Restarting over the same data directory resumes
+// exactly there.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	if s.closed {
@@ -701,13 +673,6 @@ func (s *Server) Shutdown() {
 		return
 	}
 	s.closed = true
-	for _, j := range s.jobs {
-		for i, stop := range j.stops {
-			stop()
-			delete(j.stops, i)
-			j.waiting--
-		}
-	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dcfguard/internal/atomicio"
 	"dcfguard/internal/experiment"
 	"dcfguard/internal/topo"
 )
@@ -258,46 +259,11 @@ func TestServeRejectsTraceEvents(t *testing.T) {
 	}
 }
 
-// manualTimer records scheduled backoffs and fires them only on
-// demand, so retry scheduling is exercised without real sleeps and the
-// recorded delays can be asserted against the pure policy.
-type manualTimer struct {
-	mu     sync.Mutex
-	delays []time.Duration
-	fns    []func()
-}
-
-func (m *manualTimer) timer(d time.Duration, f func()) func() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.delays = append(m.delays, d)
-	m.fns = append(m.fns, f)
-	return func() {}
-}
-
-func (m *manualTimer) count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.fns)
-}
-
-func (m *manualTimer) fire(i int) {
-	m.mu.Lock()
-	f := m.fns[i]
-	m.mu.Unlock()
-	f()
-}
-
-func (m *manualTimer) delay(i int) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delays[i]
-}
-
-// injectJob builds a job whose every cell panics (an injected topology
-// bug, the guard tests' trick) and enqueues it directly — panics can't
-// be expressed in a wire spec, by design.
-func injectPanicJob(t *testing.T, s *Server, name string, ncells int) {
+// injectPanicJob builds a job whose cells panic (an injected topology
+// bug, the guard tests' trick) for every seed poisoned reports, and
+// enqueues it directly — panics can't be expressed in a wire spec, by
+// design. A nil poisoned panics every cell.
+func injectPanicJob(t *testing.T, s *Server, name string, ncells int, poisoned func(seed uint64) bool) {
 	t.Helper()
 	js := testSpec(name, experiment.Seeds(ncells)...)
 	j, err := s.buildJob(js)
@@ -307,7 +273,13 @@ func injectPanicJob(t *testing.T, s *Server, name string, ncells int) {
 	if err := s.st.writeSpec(js); err != nil {
 		t.Fatal(err)
 	}
-	boom := func(uint64) *topo.Topology { panic("injected cell bug") }
+	healthy := j.scenario.Topo
+	boom := func(seed uint64) *topo.Topology {
+		if poisoned == nil || poisoned(seed) {
+			panic("injected cell bug")
+		}
+		return healthy(seed)
+	}
 	j.scenario.Topo = boom
 	for i := range j.cells {
 		j.cells[i].Scenario.Topo = boom
@@ -321,43 +293,109 @@ func injectPanicJob(t *testing.T, s *Server, name string, ncells int) {
 	s.mu.Unlock()
 }
 
-// TestServeRetrySchedule: a failing cell is retried on exactly the
-// deterministic full-jitter schedule the policy computes, and exhausts
-// into a failed job carrying the dumps.
-func TestServeRetrySchedule(t *testing.T) {
-	mt := &manualTimer{}
-	retry := RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
-	s := newTestServer(t, Options{Workers: 1, Retry: retry, BreakerK: -1, Timer: mt.timer})
-	injectPanicJob(t, s, "flaky", 1)
+// TestServePanicFailsOnce: a run is a pure function of (scenario,
+// seed), so a panicking cell fails on its first attempt, with its dump,
+// however large the attempt budget.
+func TestServePanicFailsOnce(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, Attempts: 3, BreakerK: -1})
+	injectPanicJob(t, s, "poisoned", 1, nil)
 
-	key := CellKey("flaky", "flaky", 1)
-	waitUntil(t, "first retry armed", func() bool { return mt.count() >= 1 })
-	if got, want := mt.delay(0), retry.Delay(key, 1); got != want {
-		t.Fatalf("retry 1 delay %v, want %v", got, want)
+	st, ok := s.Wait("poisoned")
+	if !ok || st.State != StateFailed {
+		t.Fatalf("state %q, ok=%v, want failed", st.State, ok)
 	}
-	mt.fire(0)
-	waitUntil(t, "second retry armed", func() bool { return mt.count() >= 2 })
-	if got, want := mt.delay(1), retry.Delay(key, 2); got != want {
-		t.Fatalf("retry 2 delay %v, want %v", got, want)
+	if st.Retries != 0 {
+		t.Fatalf("retries %d, want 0", st.Retries)
 	}
-	mt.fire(1)
+	if len(st.Failures) != 1 || !strings.Contains(st.Failures[0], "injected cell bug") {
+		t.Fatalf("failures %v", st.Failures)
+	}
+	dumps, err := s.st.readFailures("poisoned")
+	if err != nil || len(dumps) != 1 || dumps[0].Attempts != 1 {
+		t.Fatalf("failures.json: %v, %+v", err, dumps)
+	}
+	if !strings.Contains(dumps[0].Dump, "stack:") {
+		t.Fatal("failure dump lost its stack")
+	}
+}
 
-	st, ok := s.Wait("flaky")
+// TestServeTimeoutRetries: a wall-time timeout depends on host load, so
+// the cell goes back to the queue until its attempts run out.
+func TestServeTimeoutRetries(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, Attempts: 3, SeedTimeout: time.Millisecond})
+	js := testSpec("slow", 1)
+	js.Scenario.Duration = "50s"
+	if _, err := s.Submit(js); err != nil {
+		t.Fatal(err)
+	}
+
+	st, ok := s.Wait("slow")
 	if !ok || st.State != StateFailed {
 		t.Fatalf("state %q, ok=%v, want failed", st.State, ok)
 	}
 	if st.Retries != 2 {
 		t.Fatalf("retries %d, want 2", st.Retries)
 	}
-	if len(st.Failures) != 1 || !strings.Contains(st.Failures[0], "injected cell bug") {
+	if len(st.Failures) != 1 || !strings.Contains(st.Failures[0], "timed out") {
 		t.Fatalf("failures %v", st.Failures)
 	}
-	dumps, err := s.st.readFailures("flaky")
+	dumps, err := s.st.readFailures("slow")
 	if err != nil || len(dumps) != 1 || dumps[0].Attempts != 3 {
 		t.Fatalf("failures.json: %v, %+v", err, dumps)
 	}
-	if !strings.Contains(dumps[0].Dump, "stack:") {
-		t.Fatal("failure dump lost its stack")
+	if got := s.m.cellsRetried.Value(); got != 2 {
+		t.Fatalf("cells_retried = %d, want 2", got)
+	}
+}
+
+// TestServeJournalFailureRetries: a refused journal write leaves a good
+// run undurable; the cell reruns and the job still ends done.
+func TestServeJournalFailureRetries(t *testing.T) {
+	var mu sync.Mutex
+	refused := false
+	atomicio.TestHookBeforeRename = func(_, path string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if !refused && strings.Contains(path, string(filepath.Separator)+"journal"+string(filepath.Separator)) {
+			refused = true
+			return errors.New("injected journal refusal")
+		}
+		return nil
+	}
+	t.Cleanup(func() { atomicio.TestHookBeforeRename = nil })
+
+	s := newTestServer(t, Options{Workers: 1, Attempts: 3})
+	if _, err := s.Submit(testSpec("undurable", 1)); err != nil {
+		t.Fatal(err)
+	}
+	st, ok := s.Wait("undurable")
+	if !ok || st.State != StateDone {
+		t.Fatalf("state %q, ok=%v, failures %v, want done", st.State, ok, st.Failures)
+	}
+	if st.Retries != 1 {
+		t.Fatalf("retries %d, want 1", st.Retries)
+	}
+	if !refused {
+		t.Fatal("the hook never saw a journal write")
+	}
+}
+
+// TestServeBreakerStreakResets: the breaker counts consecutive panics;
+// a healthy cell between two panicking ones resets the streak, so K=2
+// does not trip and the job ends failed, not degraded.
+func TestServeBreakerStreakResets(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1, BreakerK: 2})
+	injectPanicJob(t, s, "striped", 3, func(seed uint64) bool { return seed != 2 })
+
+	st, ok := s.Wait("striped")
+	if !ok || st.State != StateFailed {
+		t.Fatalf("state %q, ok=%v, want failed", st.State, ok)
+	}
+	if st.Cells.Done != 3 || st.Cells.Failed != 2 {
+		t.Fatalf("cells %+v, want 3 done with 2 failed", st.Cells)
+	}
+	if got := s.m.jobsDegraded.Value(); got != 0 {
+		t.Fatalf("jobs_degraded = %d, want 0", got)
 	}
 }
 
@@ -366,8 +404,8 @@ func TestServeRetrySchedule(t *testing.T) {
 // degraded.json, and the job parks as degraded instead of burning the
 // pool.
 func TestServeBreakerParksDegraded(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1, Retry: RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond}, BreakerK: 2})
-	injectPanicJob(t, s, "poisoned", 4)
+	s := newTestServer(t, Options{Workers: 1, BreakerK: 2})
+	injectPanicJob(t, s, "poisoned", 4, nil)
 
 	st, ok := s.Wait("poisoned")
 	if !ok || st.State != StateDegraded {

@@ -154,7 +154,7 @@ func dumpsOf(job *job) []failureDump {
 }
 
 // writeFailures records the failure dumps of a job that completed with
-// exhausted-retry cells.
+// failed cells.
 func (st store) writeFailures(name string, dumps []failureDump) error {
 	data, err := json.MarshalIndent(dumps, "", "  ")
 	if err != nil {
